@@ -250,6 +250,33 @@ func loadOrRecover(opt options) (*graph.Graph, *graph.Interner, *access.IndexSet
 	return g, in, idx, wd, 0, nil
 }
 
+// backend is what a startup shape hands to serve: the source the engine
+// reads and writes through, the interner its graph and schema share, and
+// the few things that differ by shape.
+type backend struct {
+	src  runtime.Source
+	in   *graph.Interner
+	mode string // startup-line label; serve appends ", durable" under a WAL
+	// closeWAL closes the WAL directories after the final checkpoint; nil
+	// when the backend keeps no WAL (no checkpoints either).
+	closeWAL func() error
+	// configure adjusts the server config beyond the flag-derived fields
+	// (replication wiring); nil for none.
+	configure func(*server.Config)
+}
+
+// followerSource is a replicated store whose Close first stops the
+// replication client feeding it, so no epoch arrives at a closed store.
+type followerSource struct {
+	*store.Store
+	stop func()
+}
+
+func (f followerSource) Close() {
+	f.stop()
+	f.Store.Close()
+}
+
 func run(opt options) error {
 	started := time.Now()
 	if opt.follow != "" {
@@ -263,7 +290,7 @@ func run(opt options) error {
 		case opt.dataset != "" || opt.graph != "":
 			return fmt.Errorf("-follow bootstraps from the primary's checkpoint; drop -dataset/-graph/-schema/-index")
 		}
-		return runFollower(opt, started)
+		return serve(opt, started, openFollower)
 	}
 	if opt.wal != "" && !opt.mutable {
 		return fmt.Errorf("-wal requires -mutable (the log records accepted updates)")
@@ -289,79 +316,51 @@ func run(opt options) error {
 		return fmt.Errorf("%s holds unsharded state; restart without -shards (or point -wal at a fresh directory)", opt.wal)
 	}
 	if sharded {
-		return runSharded(opt, started)
+		return serve(opt, started, openSharded)
 	}
+	return serve(opt, started, openStore)
+}
+
+// openStore builds the unsharded backend: one store over the loaded or
+// recovered graph, logging to -wal when given.
+func openStore(opt options) (*backend, error) {
 	g, in, idx, wd, baseEpoch, err := loadOrRecover(opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if opt.writeIndex != "" {
 		xf, err := os.Create(opt.writeIndex)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		err = idx.WriteJSON(xf, in)
 		if cerr := xf.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 		log.Printf("index set persisted to %s", opt.writeIndex)
 	}
-
+	b := &backend{in: in, mode: "read-only"}
+	if opt.mutable {
+		b.mode = "mutable"
+	}
 	var stOpts []store.Option
 	if wd != nil {
 		stOpts = append(stOpts, store.WithWAL(wd, opt.fsync))
 		if baseEpoch > 0 {
 			stOpts = append(stOpts, store.WithBaseEpoch(baseEpoch))
 		}
-	}
-	st := store.New(g, idx, stOpts...)
-	eng, err := runtime.NewFromStore(st, runtime.Config{Workers: opt.workers})
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-	mode := "read-only"
-	if opt.mutable {
-		mode = "mutable"
-	}
-	if wd != nil {
-		mode += ", durable"
-	}
-	var ckpt func() error
-	if wd != nil {
-		ckpt = st.Checkpoint
-	}
-	shutdown := func() {
-		st.Close()
-		if opt.mutable {
-			us := st.Stats()
-			log.Printf("updates drained: epoch %d, %d applied in %d commits, %d rejected (%d violations)",
-				us.Epoch, us.Applied, us.Batches, us.RejectedViolation+us.RejectedError, us.RejectedViolation)
-		}
-		if wd != nil {
-			// Final checkpoint: the next start loads the snapshot and
-			// replays nothing. Close is allowed before Checkpoint — it only
-			// bars new writes.
-			if err := st.Checkpoint(); err != nil {
-				log.Printf("wal: shutdown checkpoint failed (log retained, recovery will replay it): %v", err)
-			} else {
-				log.Printf("wal: shutdown checkpoint at epoch %d", st.Epoch())
-			}
-			if err := wd.Close(); err != nil {
-				log.Printf("wal: close: %v", err)
-			}
-		}
-	}
-	return serveHTTP(opt, eng, in, started, g.NumNodes(), g.NumEdges(), mode, st.Epoch, ckpt, shutdown, func(c *server.Config) {
+		b.closeWAL = wd.Close
 		// An unsharded durable primary serves the replication endpoints.
-		c.WAL = wd
-	})
+		b.configure = func(c *server.Config) { c.WAL = wd }
+	}
+	b.src = store.New(g, idx, stOpts...)
+	return b, nil
 }
 
-// runFollower serves a read-only replica: bootstrap the state from the
+// openFollower builds a read-only replica: bootstrap the state from the
 // primary's checkpoint, then replay its WAL stream in the background,
 // publishing each primary epoch as it arrives. Queries, the result cache
 // and revalidation all run unmodified over the replicated store; POST
@@ -370,14 +369,14 @@ func run(opt options) error {
 // outruns the stream; if the histories ever diverge it stops, leaving
 // the daemon serving its last consistent epoch (the /stats replication
 // block reports it).
-func runFollower(opt options, started time.Time) error {
+func openFollower(opt options) (*backend, error) {
 	in := graph.NewInterner()
 	rep := replica.New(replica.Config{Primary: opt.follow, Logf: log.Printf}, in)
 	bctx, bcancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	g, idx, epoch, err := rep.Bootstrap(bctx)
 	bcancel()
 	if err != nil {
-		return fmt.Errorf("bootstrap from %s: %w", opt.follow, err)
+		return nil, fmt.Errorf("bootstrap from %s: %w", opt.follow, err)
 	}
 	log.Printf("replica: bootstrapped from %s at epoch %d (|V|=%d |E|=%d)", opt.follow, epoch, g.NumNodes(), g.NumEdges())
 	var stOpts []store.Option
@@ -386,51 +385,47 @@ func runFollower(opt options, started time.Time) error {
 	}
 	st := store.New(g, idx, stOpts...)
 	rep.Attach(st)
-	eng, err := runtime.NewFromStore(st, runtime.Config{Workers: opt.workers})
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
 	rctx, rcancel := context.WithCancel(context.Background())
-	defer rcancel()
 	go func() {
 		if err := rep.Run(rctx); err != nil {
 			log.Printf("replica: %v", err)
 		}
 	}()
-	mode := "follower of " + opt.follow
-	shutdown := func() {
+	stop := func() {
 		rcancel()
-		st.Close()
 		rs := rep.Stats()
 		log.Printf("replica: stopped at epoch %d (offset %d, %d reconnects)", rs.AppliedEpoch, rs.Offset, rs.Reconnects)
 	}
-	return serveHTTP(opt, eng, in, started, g.NumNodes(), g.NumEdges(), mode, st.Epoch, nil, shutdown, func(c *server.Config) {
-		c.Follower = true
-		c.ReplicationStats = rep.Stats
-	})
+	return &backend{
+		src:  followerSource{st, stop},
+		in:   in,
+		mode: "follower of " + opt.follow,
+		configure: func(c *server.Config) {
+			c.Follower = true
+			c.ReplicationStats = rep.Stats
+		},
+	}, nil
 }
 
-// runSharded serves a partitioned store: the graph and index set split
+// openSharded builds a partitioned backend: the graph and index set split
 // across -shards stores behind a router, queries scatter/gather over
 // consistent cuts, and with -wal each shard keeps its own log under the
 // state directory (the SHARDMAP at its root pins the partition).
-func runSharded(opt options, started time.Time) error {
+func openSharded(opt options) (*backend, error) {
 	if opt.writeIndex != "" {
-		return fmt.Errorf("-write-index is not supported with -shards (the index set is partitioned across the shards)")
+		return nil, fmt.Errorf("-write-index is not supported with -shards (the index set is partitioned across the shards)")
 	}
 	var (
 		r   *shard.Router
 		in  *graph.Interner
 		err error
 	)
-	durable := false
 	if opt.wal != "" && shard.HasState(opt.wal) {
 		in = graph.NewInterner()
 		var info *shard.RecoverInfo
 		r, info, err = shard.Recover(opt.wal, in, opt.fsync)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if info.TornSeqs > 0 {
 			log.Printf("shard: rewound %d torn cross-shard update(s) a crash left partially logged", info.TornSeqs)
@@ -440,74 +435,51 @@ func runSharded(opt options, started time.Time) error {
 		if opt.dataset != "" || opt.graph != "" {
 			log.Printf("shard: %s already holds state; -dataset/-graph/-schema/-index ignored", opt.wal)
 		}
-		durable = true
 	} else {
 		var g *graph.Graph
 		var idx *access.IndexSet
 		g, in, idx, err = load(opt)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if opt.wal != "" {
 			r, err = shard.Create(opt.wal, in, g, idx, opt.shards, opt.fsync)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			log.Printf("shard: initialized %d shards under %s", opt.shards, opt.wal)
-			durable = true
 		} else {
 			r, err = shard.New(g, idx, opt.shards)
 			if err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	eng, err := runtime.NewFromRouter(r, runtime.Config{Workers: opt.workers})
+	b := &backend{src: r, in: in, mode: fmt.Sprintf("%d shards, read-only", r.NumShards())}
+	if opt.mutable {
+		b.mode = fmt.Sprintf("%d shards, mutable", r.NumShards())
+	}
+	if opt.wal != "" {
+		b.closeWAL = r.CloseDirs
+	}
+	return b, nil
+}
+
+// serve opens the backend and runs the daemon over it until a shutdown
+// signal or a listener error: it starts the engine, mounts the server,
+// runs the periodic checkpoint ticker under a WAL, and on SIGINT/SIGTERM
+// drains in-flight requests, closes the source and — under a WAL — takes
+// the final checkpoint and closes the directories.
+func serve(opt options, started time.Time, open func(options) (*backend, error)) error {
+	b, err := open(opt)
+	if err != nil {
+		return err
+	}
+	eng, err := runtime.NewFromSource(b.src, runtime.Config{Workers: opt.workers})
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
-	rs := r.Stats()
-	mode := fmt.Sprintf("%d shards, read-only", r.NumShards())
-	if opt.mutable {
-		mode = fmt.Sprintf("%d shards, mutable", r.NumShards())
-	}
-	if durable {
-		mode += ", durable"
-	}
-	var ckpt func() error
-	if durable {
-		ckpt = r.Checkpoint
-	}
-	shutdown := func() {
-		r.Close()
-		if opt.mutable {
-			us := r.Stats()
-			log.Printf("updates drained: gsn %d, %d applied in %d commits, %d rejected (%d violations)",
-				us.GSN, us.Applied, us.Batches, us.RejectedViolation+us.RejectedError, us.RejectedViolation)
-		}
-		if durable {
-			if err := r.Checkpoint(); err != nil {
-				log.Printf("wal: shutdown checkpoint failed (logs retained, recovery will replay them): %v", err)
-			} else {
-				log.Printf("wal: shutdown checkpoint at gsn %d", r.GSN())
-			}
-			if err := r.CloseDirs(); err != nil {
-				log.Printf("wal: close: %v", err)
-			}
-		}
-	}
-	return serveHTTP(opt, eng, in, started, int(rs.Nodes), int(rs.Edges), mode, r.GSN, ckpt, shutdown, nil)
-}
-
-// serveHTTP runs the HTTP side of the daemon until a shutdown signal or a
-// listener error: it mounts the server over eng, runs the periodic
-// checkpoint ticker when checkpoint is non-nil, and on SIGINT/SIGTERM
-// drains in-flight requests before handing control to the source-specific
-// shutdown hook (close the store or router, final checkpoint, close the
-// WAL directories). configure, when non-nil, adjusts the server config
-// beyond the flag-derived fields (replication wiring).
-func serveHTTP(opt options, eng *runtime.Engine, in *graph.Interner, started time.Time, nodes, edges int, mode string, version func() uint64, checkpoint func() error, shutdown func(), configure func(*server.Config)) error {
 	if opt.timeout == 0 {
 		// The operator said "no deadline"; server.Config treats zero as
 		// "unset, use the library default", so translate explicitly.
@@ -527,21 +499,26 @@ func serveHTTP(opt options, eng *runtime.Engine, in *graph.Interner, started tim
 		EnableUpdates: opt.mutable,
 		MaxSubs:       opt.maxSubs,
 	}
-	if configure != nil {
-		configure(&cfg)
+	if b.configure != nil {
+		b.configure(&cfg)
 	}
-	srv := server.New(eng, in, cfg)
+	srv := server.New(eng, b.in, cfg)
 
 	l, err := net.Listen("tcp", opt.addr)
 	if err != nil {
 		return err
 	}
+	durable := b.closeWAL != nil
+	if durable {
+		b.mode += ", durable"
+	}
+	ss := b.src.Stats()
 	log.Printf("serving |V|=%d |E|=%d, %d constraints on %s, %s (startup %s)",
-		nodes, edges, eng.Schema().Count(), l.Addr(), mode, time.Since(started).Round(time.Millisecond))
+		ss.Nodes, ss.Edges, eng.Schema().Count(), l.Addr(), b.mode, time.Since(started).Round(time.Millisecond))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if checkpoint != nil && opt.checkpoint > 0 {
+	if durable && opt.checkpoint > 0 {
 		go func() {
 			tick := time.NewTicker(opt.checkpoint)
 			defer tick.Stop()
@@ -550,8 +527,8 @@ func serveHTTP(opt options, eng *runtime.Engine, in *graph.Interner, started tim
 				case <-ctx.Done():
 					return
 				case <-tick.C:
-					epoch := version()
-					if err := checkpoint(); err != nil {
+					epoch := b.src.Epoch()
+					if err := b.src.Checkpoint(); err != nil {
 						log.Printf("wal: periodic checkpoint failed: %v", err)
 					} else {
 						log.Printf("wal: checkpointed at epoch %d", epoch)
@@ -566,19 +543,37 @@ func serveHTTP(opt options, eng *runtime.Engine, in *graph.Interner, started tim
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
-		stop()
-		log.Printf("signal received; draining (up to %s)", opt.drain)
-		sctx, cancel := context.WithTimeout(context.Background(), opt.drain)
-		defer cancel()
-		// Shutdown drains in-flight requests — updates included, since
-		// each POST /update runs synchronously inside its handler. Only
-		// then is the source closed, so no accepted update is lost.
-		if err := srv.Shutdown(sctx); err != nil {
-			return fmt.Errorf("drain: %w", err)
-		}
-		<-errc // Serve has returned http.ErrServerClosed
-		shutdown()
-		log.Printf("drained; closing engine")
-		return nil
 	}
+	stop()
+	log.Printf("signal received; draining (up to %s)", opt.drain)
+	sctx, cancel := context.WithTimeout(context.Background(), opt.drain)
+	defer cancel()
+	// Shutdown drains in-flight requests — updates included, since each
+	// POST /update runs synchronously inside its handler. Only then is the
+	// source closed, so no accepted update is lost.
+	if err := srv.Shutdown(sctx); err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+	<-errc // Serve has returned http.ErrServerClosed
+	b.src.Close()
+	if opt.mutable {
+		us := b.src.Stats()
+		log.Printf("updates drained: epoch %d, %d applied in %d commits, %d rejected (%d violations)",
+			us.Epoch, us.Applied, us.Batches, us.RejectedViolation+us.RejectedError, us.RejectedViolation)
+	}
+	if durable {
+		// Final checkpoint: the next start loads the snapshot and replays
+		// nothing. Close is allowed before Checkpoint — it only bars new
+		// writes.
+		if err := b.src.Checkpoint(); err != nil {
+			log.Printf("wal: shutdown checkpoint failed (log retained, recovery will replay it): %v", err)
+		} else {
+			log.Printf("wal: shutdown checkpoint at epoch %d", b.src.Epoch())
+		}
+		if err := b.closeWAL(); err != nil {
+			log.Printf("wal: close: %v", err)
+		}
+	}
+	log.Printf("drained; closing engine")
+	return nil
 }

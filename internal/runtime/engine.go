@@ -4,16 +4,16 @@
 // each query's cost independent of |G| (the paper's central guarantee),
 // throughput under heavy traffic is gated purely by per-query constant
 // factors — which the engine attacks by reading the graph through frozen
-// CSR snapshots, caching query plans, and optionally sharding the phases
-// inside each query.
+// CSR snapshots and caching query plans.
 //
-// The engine reads through an epoch-versioned store.Store: every Submit
-// pins the snapshot current at submission time and the query evaluates
-// against that epoch end to end, so concurrent writers publishing new
-// epochs never change a query's view mid-flight. The plan cache survives
-// epochs (plans depend only on the pattern and the schema, which is
-// immutable); result semantics do not — Result carries the epoch it was
-// computed at.
+// The engine reads and writes through one Source — a store.Store, or a
+// shard.Router over several: every Submit pins the cut current at
+// submission time (one snapshot per shard, all from one commit boundary)
+// and the query evaluates against that version end to end, so concurrent
+// writers publishing new epochs never change a query's view mid-flight.
+// The plan cache survives epochs (plans depend only on the pattern and
+// the schema, which is immutable); result semantics do not — Result
+// carries the epoch it was computed at.
 package runtime
 
 import (
@@ -43,12 +43,6 @@ type Config struct {
 	// Workers is the number of queries evaluated concurrently. Defaults
 	// to GOMAXPROCS.
 	Workers int
-	// IntraQueryWorkers shards the fetch and edge-verification phases
-	// inside each query (see core.ExecConfig.Workers). Defaults to 1:
-	// under a loaded pool, cross-query parallelism already saturates the
-	// cores, and sharding inside queries only helps tail latency of
-	// large queries on idle machines.
-	IntraQueryWorkers int
 	// QueueDepth bounds pending submissions before Submit blocks.
 	// Defaults to 2×Workers.
 	QueueDepth int
@@ -57,9 +51,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = stdruntime.GOMAXPROCS(0)
-	}
-	if c.IntraQueryWorkers <= 0 {
-		c.IntraQueryWorkers = 1
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.Workers
@@ -94,7 +85,7 @@ type Query struct {
 // its access statistics, and the match relation (in the source graph's
 // node IDs) under the requested semantics. Stats may be non-nil even when
 // Err is a cancellation error raised after the fetch phase completed —
-// it accounts for the data actually accessed. Epoch is the store epoch
+// it accounts for the data actually accessed. Epoch is the source version
 // the query was evaluated against (the one current at Submit time); it is
 // set whenever the query made it past the queue, errors included.
 type Result struct {
@@ -103,9 +94,9 @@ type Result struct {
 	Sub   *match.SubgraphResult
 	Sim   *match.SimResult
 	Epoch uint64
-	// Vector is the per-shard epoch vector the query's cut pinned. Nil on
-	// an unsharded engine; on a sharded one, Epoch is the cut's global
-	// sequence number and Vector its per-shard epochs.
+	// Vector is the per-shard epoch vector the query's cut pinned (see
+	// store.Cut): nil over a single store; over a router, Epoch is the
+	// cut's global sequence number and Vector its per-shard epochs.
 	Vector []uint64
 	// Footprint is the execution's read set, set only on success and only
 	// when the query asked for it (Query.NeedFootprint).
@@ -129,29 +120,37 @@ func (f *Future) Wait() Result {
 func (f *Future) Done() <-chan struct{} { return f.done }
 
 type task struct {
-	ctx  context.Context
-	q    Query
-	snap *store.Snapshot // pinned at Submit; released by the worker
-	cut  *shard.Cut      // sharded engines pin a cut instead of a snapshot
-	fut  *Future
+	ctx context.Context
+	q   Query
+	cut *store.Cut // pinned at Submit; released by the worker
+	fut *Future
 }
 
-// release unpins whatever the task pinned at Submit.
-func (t *task) release() {
-	if t.cut != nil {
-		t.cut.Release()
-		return
-	}
-	t.snap.Release()
-}
-
-// version returns the publication version the task pinned: the snapshot
-// epoch, or the cut's global sequence number.
-func (t *task) version() uint64 {
-	if t.cut != nil {
-		return t.cut.GSN
-	}
-	return t.snap.Epoch
+// Source is the versioned backend an engine serves from: it pins
+// consistent cuts for readers, applies deltas for writers, and reports
+// what changed between versions. *store.Store and *shard.Router both
+// satisfy it; nothing above this interface knows which one it holds.
+type Source interface {
+	// Schema returns the access schema (immutable across versions).
+	Schema() *access.Schema
+	// AcquireCut pins the current version; the caller must Release it.
+	AcquireCut() *store.Cut
+	// Epoch returns the current version without pinning.
+	Epoch() uint64
+	// PublishSignal returns a channel closed at the next publication;
+	// grab it BEFORE reading Epoch so no publication can be missed.
+	PublishSignal() <-chan struct{}
+	// ChangedSince summarizes the changes after version e, or reports
+	// that its recent-deltas ring cannot vouch for the span.
+	ChangedSince(e uint64) (store.ChangeSummary, bool)
+	// Apply group-commits one delta; see store.Store.Apply.
+	Apply(d *graph.Delta) (store.Result, error)
+	// Stats observes the update counters, WAL figures and wedge state.
+	Stats() store.Stats
+	// Checkpoint bounds recovery replay (store.ErrNotDurable without a WAL).
+	Checkpoint() error
+	// Close bars further writes; readers are unaffected.
+	Close()
 }
 
 // Stats are the engine's cumulative counters.
@@ -164,14 +163,13 @@ type Stats struct {
 }
 
 // Engine evaluates bounded pattern queries concurrently against one shared
-// epoch-versioned store. Construct with New (owning a fresh store over a
-// graph + index set) or NewFromStore (sharing a store whose writer applies
+// Source. Construct with New (owning a fresh store over a graph + index
+// set), NewFromStore or NewFromRouter (sharing a source whose writers apply
 // live updates), feed with Submit/Eval/EvalBatch and shut down with Close.
-// Each query evaluates against the snapshot current at its Submit; the
-// store's writer may publish new epochs concurrently.
+// Each query evaluates against the cut current at its Submit; the source's
+// writers may publish new epochs concurrently.
 type Engine struct {
-	src    *store.Store   // unsharded source; nil on a sharded engine
-	router *shard.Router  // sharded source; nil on an unsharded engine
+	src    Source
 	schema *access.Schema // immutable across epochs
 	cfg    Config
 
@@ -202,44 +200,30 @@ type planEntry struct {
 }
 
 // New starts an engine over g and its index set, wrapping them in a fresh
-// store (use Store to reach it, e.g. to apply updates). The engine reads
-// through frozen CSR snapshots, so the hot path never probes the graph's
-// edge map; never mutate g directly once the engine is live — updates go
-// through Store().Apply.
+// store. The engine reads through frozen CSR snapshots, so the hot path
+// never probes the graph's edge map; never mutate g directly once the
+// engine is live — updates go through ApplyDelta.
 func New(g *graph.Graph, idx *access.IndexSet, cfg Config) (*Engine, error) {
-	if g == nil || idx == nil {
-		return nil, errors.New("runtime: engine needs a graph and an index set")
-	}
-	return NewFromStore(store.New(g, idx), cfg)
+	return NewFromSource(store.New(g, idx), cfg)
 }
 
-// NewFromStore starts an engine reading from st. The caller keeps writing
-// to st (Apply) while the engine serves; each query sees the epoch current
-// at its Submit.
-func NewFromStore(st *store.Store, cfg Config) (*Engine, error) {
-	if st == nil {
-		return nil, errors.New("runtime: engine needs a store")
-	}
-	return start(&Engine{src: st, schema: st.Schema()}, cfg)
-}
+// NewFromStore starts an engine over a single store.
+func NewFromStore(st *store.Store, cfg Config) (*Engine, error) { return NewFromSource(st, cfg) }
 
-// NewFromRouter starts an engine reading from a sharded router. Every
-// Submit pins a consistent cut — one snapshot per shard, all published by
-// the same commit boundary — and the query evaluates scatter/gather over
-// it (core.ExecConfig.Shards), producing answers bit-identical to an
-// unsharded engine over the same logical graph. Result.Epoch is the cut's
-// global sequence number and Result.Vector its per-shard epochs.
-func NewFromRouter(r *shard.Router, cfg Config) (*Engine, error) {
-	if r == nil {
-		return nil, errors.New("runtime: engine needs a router")
-	}
-	return start(&Engine{router: r, schema: r.Schema()}, cfg)
-}
+// NewFromRouter starts an engine over a sharded router: queries evaluate
+// scatter/gather over each cut (core.ExecConfig.Shards), producing answers
+// bit-identical to an engine over one store holding the same logical graph.
+func NewFromRouter(r *shard.Router, cfg Config) (*Engine, error) { return NewFromSource(r, cfg) }
 
-func start(e *Engine, cfg Config) (*Engine, error) {
+// NewFromSource starts an engine reading from src. The caller keeps
+// writing to src (Apply) while the engine serves; each query sees the
+// version current at its Submit.
+func NewFromSource(src Source, cfg Config) (*Engine, error) {
+	if src == nil {
+		return nil, errors.New("runtime: engine needs a source")
+	}
 	cfg = cfg.withDefaults()
-	e.cfg = cfg
-	e.tasks = make(chan task, cfg.QueueDepth)
+	e := &Engine{src: src, schema: src.Schema(), cfg: cfg, tasks: make(chan task, cfg.QueueDepth)}
 	e.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		go e.worker()
@@ -250,151 +234,62 @@ func start(e *Engine, cfg Config) (*Engine, error) {
 // Schema returns the access schema the engine serves.
 func (e *Engine) Schema() *access.Schema { return e.schema }
 
-// Store returns the epoch-versioned store the engine reads from, or nil
-// on a sharded engine (use Router).
-func (e *Engine) Store() *store.Store { return e.src }
-
-// Router returns the sharded router the engine reads from, or nil on an
-// unsharded engine (use Store).
-func (e *Engine) Router() *shard.Router { return e.router }
-
-// Acquire pins and returns the store's current snapshot (see
-// store.Store.Acquire); the caller must Release it. Unsharded engines
-// only — a sharded engine pins cuts (Router().AcquireCut).
-func (e *Engine) Acquire() *store.Snapshot { return e.src.Acquire() }
-
-// Version returns the engine's current publication version: the store
-// epoch, or the router's global sequence number when sharded. Cache keys
-// derived from it invalidate on every published update either way.
-func (e *Engine) Version() uint64 {
-	if e.router != nil {
-		return e.router.GSN()
-	}
-	return e.src.Epoch()
-}
+// Version returns the source's current publication version: the store
+// epoch, or the router's global sequence number. Cache keys derived from
+// it invalidate on every published update either way.
+func (e *Engine) Version() uint64 { return e.src.Epoch() }
 
 // PublishSignal returns a channel closed the next time a new version is
-// published (a store epoch, or a router GSN when sharded). One-shot
-// level trigger: grab the channel before reading Version, act, then
-// block on it; re-grab after each wake. Subscription dispatchers use
-// this to sleep between commits without polling.
-func (e *Engine) PublishSignal() <-chan struct{} {
-	if e.router != nil {
-		return e.router.PublishSignal()
-	}
-	return e.src.PublishSignal()
-}
+// published. One-shot level trigger: grab the channel before reading
+// Version, act, then block on it; re-grab after each wake. Subscription
+// dispatchers use this to sleep between commits without polling.
+func (e *Engine) PublishSignal() <-chan struct{} { return e.src.PublishSignal() }
 
-// ChangedSince reports the union of changes between version e and some
-// version S ≥ the current one (store epochs, or GSNs when sharded) — the
-// revalidation input for caches holding results computed at e. ok is
-// false when the source's recent-deltas ring cannot vouch for the span;
-// see store.Store.ChangedSince and shard.Router.ChangedSince.
+// ChangedSince reports the union of changes between version epoch and
+// some version S ≥ the current one — the revalidation input for caches
+// holding results computed at epoch. ok is false when the source's
+// recent-deltas ring cannot vouch for the span; see
+// store.Store.ChangedSince and shard.Router.ChangedSince.
 func (e *Engine) ChangedSince(epoch uint64) (store.ChangeSummary, bool) {
-	if e.router != nil {
-		return e.router.ChangedSince(epoch)
-	}
 	return e.src.ChangedSince(epoch)
 }
 
-// UpdateOutcome reports one delta applied through the engine's source,
-// unifying store.Result and shard.Result for the serving layer.
-type UpdateOutcome struct {
-	// Epoch is the published version: the store epoch, or the global
-	// sequence number when sharded.
-	Epoch uint64
-	// Vector is the per-shard epoch vector after the commit (sharded
-	// engines only).
-	Vector []uint64
-	// NewIDs are the node IDs assigned to the delta's AddNodes.
-	NewIDs []graph.NodeID
-	// TouchedRows counts the rows whose adjacency the delta changed.
-	TouchedRows int
-	// LogOffset is the WAL offset the update is durable through
-	// (unsharded engines with a WAL).
-	LogOffset int64
-	// ShardLogOffsets holds each shard's WAL offset for this update
-	// (sharded engines with WALs; zero for untouched shards).
-	ShardLogOffsets []int64
-}
-
-// ApplyDelta applies one delta through the engine's source — the store's
-// group commit, or the router's cross-shard commit — with identical
+// ApplyDelta applies one delta through the source — the store's group
+// commit, or the router's cross-shard commit — with identical
 // accept/reject semantics either way.
-func (e *Engine) ApplyDelta(d *graph.Delta) (UpdateOutcome, error) {
-	if e.router != nil {
-		res, err := e.router.Apply(d)
-		if err != nil {
-			return UpdateOutcome{}, err
-		}
-		return UpdateOutcome{
-			Epoch:           res.GSN,
-			Vector:          res.Vector,
-			NewIDs:          res.NewIDs,
-			TouchedRows:     res.TouchedRows,
-			ShardLogOffsets: res.LogOffsets,
-		}, nil
-	}
-	res, err := e.src.Apply(d)
-	if err != nil {
-		return UpdateOutcome{}, err
-	}
-	return UpdateOutcome{
-		Epoch:       res.Epoch,
-		NewIDs:      res.NewIDs,
-		TouchedRows: res.TouchedRows,
-		LogOffset:   res.LogOffset,
-	}, nil
-}
+func (e *Engine) ApplyDelta(d *graph.Delta) (store.Result, error) { return e.src.Apply(d) }
+
+// SourceStats observes the source: version, live graph counts, update
+// counters, WAL figures, wedge state.
+func (e *Engine) SourceStats() store.Stats { return e.src.Stats() }
 
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	// Each worker owns one scratch: per-query dense buffers are reused
 	// across every query (and epoch) the worker serves.
-	cfg := &core.ExecConfig{
-		Workers: e.cfg.IntraQueryWorkers,
-		Scratch: core.NewExecScratch(),
-	}
-	var shardOf func(graph.NodeID) int
+	cfg := &core.ExecConfig{Scratch: core.NewExecScratch()}
 	var views []core.ShardView // per-worker, refilled per task
-	if e.router != nil {
-		m := e.router.Map()
-		shardOf = m.Of
-		views = make([]core.ShardView, e.router.NumShards())
-	}
 	for t := range e.tasks {
 		if err := t.ctx.Err(); err != nil {
 			// The submitter gave up while the task sat in the queue;
 			// resolve promptly without touching the graph.
-			t.fut.res = Result{Err: err, Epoch: t.version()}
-		} else if t.cut != nil {
-			cfg.Ctx = t.ctx
-			if t.q.NeedFootprint {
-				cfg.Footprint = core.NewFootprint()
-			}
-			views = views[:0]
-			for _, sn := range t.cut.Snaps {
-				views = append(views, core.ShardView{G: sn.G, Fz: sn.Fz, Idx: sn.Idx})
-			}
-			cfg.Shards = views
-			cfg.ShardOf = shardOf
-			t.fut.res = e.eval(t.q, cfg, nil, nil, t.cut.GSN, t.cut.Vector)
-			cfg.Ctx = nil
-			cfg.Footprint = nil
-			cfg.Shards = nil
-			cfg.ShardOf = nil
+			t.fut.res = Result{Err: err, Epoch: t.cut.Epoch}
 		} else {
 			cfg.Ctx = t.ctx
 			if t.q.NeedFootprint {
 				cfg.Footprint = core.NewFootprint()
 			}
-			cfg.Frozen = t.snap.Fz
-			t.fut.res = e.eval(t.q, cfg, t.snap.G, t.snap.Idx, t.snap.Epoch, nil)
-			cfg.Ctx = nil
-			cfg.Footprint = nil
-			cfg.Frozen = nil
+			// A one-snapshot cut collapses to the plain path inside
+			// core.ExecWith, so a single store pays no scatter/gather.
+			views = views[:0]
+			for _, sn := range t.cut.Snaps {
+				views = append(views, core.ShardView{G: sn.G, Fz: sn.Fz, Idx: sn.Idx})
+			}
+			cfg.Shards, cfg.ShardOf = views, t.cut.ShardOf
+			t.fut.res = e.eval(t.q, cfg, t.cut.Epoch, t.cut.Vector)
+			cfg.Ctx, cfg.Footprint, cfg.Shards, cfg.ShardOf = nil, nil, nil, nil
 		}
-		t.release()
+		t.cut.Release()
 		e.completed.Add(1)
 		if t.fut.res.Err != nil {
 			e.failed.Add(1)
@@ -417,8 +312,8 @@ func (e *Engine) worker() {
 // whose submitter has already gone away, and — through core.ExecWith —
 // abandon an evaluation in flight. A nil ctx means "never cancelled".
 //
-// The query is bound to the store snapshot current at this call: updates
-// published while it waits in the queue or evaluates do not affect it.
+// The query is bound to the cut current at this call: updates published
+// while it waits in the queue or evaluates do not affect it.
 func (e *Engine) Submit(ctx context.Context, q Query) *Future {
 	if ctx == nil {
 		ctx = context.Background()
@@ -431,12 +326,7 @@ func (e *Engine) Submit(ctx context.Context, q Query) *Future {
 		close(fut.done)
 		return fut
 	}
-	t := task{ctx: ctx, q: q, fut: fut}
-	if e.router != nil {
-		t.cut = e.router.AcquireCut()
-	} else {
-		t.snap = e.src.Acquire()
-	}
+	t := task{ctx: ctx, q: q, cut: e.src.AcquireCut(), fut: fut}
 	// Sending under the read lock keeps the channel-close in Close safe
 	// while letting any number of submitters block in their own selects
 	// concurrently — a full queue backpressures each of them until a
@@ -445,7 +335,7 @@ func (e *Engine) Submit(ctx context.Context, q Query) *Future {
 	case e.tasks <- t:
 		e.submitted.Add(1)
 	case <-ctx.Done():
-		t.release()
+		t.cut.Release()
 		fut.res = Result{Err: ctx.Err()}
 		close(fut.done)
 	}
@@ -529,12 +419,11 @@ func (e *Engine) plan(q Query) (*core.Plan, error) {
 	return p, err
 }
 
-// eval runs one query end to end against one pinned view — a snapshot's
-// graph and index set, or (g and idx nil) a sharded cut already loaded
+// eval runs one query end to end against the pinned cut already loaded
 // into cfg.Shards: plan (cached across epochs), fetch GQ through the
 // indices, then match inside GQ and map the relation back to the source
 // graph's IDs.
-func (e *Engine) eval(q Query, cfg *core.ExecConfig, g *graph.Graph, idx *access.IndexSet, epoch uint64, vector []uint64) Result {
+func (e *Engine) eval(q Query, cfg *core.ExecConfig, epoch uint64, vector []uint64) Result {
 	if q.Pattern == nil {
 		return Result{Err: ErrNilQuery, Epoch: epoch, Vector: vector}
 	}
@@ -542,7 +431,7 @@ func (e *Engine) eval(q Query, cfg *core.ExecConfig, g *graph.Graph, idx *access
 	if err != nil {
 		return Result{Err: err, Epoch: epoch, Vector: vector}
 	}
-	bg, stats, err := p.ExecWith(g, idx, cfg)
+	bg, stats, err := p.ExecWith(nil, nil, cfg)
 	if err != nil {
 		return Result{Err: err, Epoch: epoch, Vector: vector}
 	}

@@ -62,12 +62,12 @@ func canonMatches(ms [][]graph.NodeID) [][]graph.NodeID {
 }
 
 // TestEngineMatchesSerial is the differential test: for every bounded
-// query of a randomized load, the engine's result (with cross-query and
-// intra-query parallelism) must be identical to the serial
+// query of a randomized load, the engine's result (with cross-query
+// parallelism) must be identical to the serial
 // Plan.Exec/match path — same matches, same relation, same stats.
 func TestEngineMatchesSerial(t *testing.T) {
 	f := newFixture(t, 0.15, 40, 3)
-	e, err := New(f.d.G, f.idx, Config{Workers: 4, IntraQueryWorkers: 4})
+	e, err := New(f.d.G, f.idx, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 // frozen snapshot and plan cache.
 func TestEngineConcurrentStress(t *testing.T) {
 	f := newFixture(t, 0.1, 30, 11)
-	e, err := New(f.d.G, f.idx, Config{Workers: 8, IntraQueryWorkers: 2, QueueDepth: 4})
+	e, err := New(f.d.G, f.idx, Config{Workers: 8, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

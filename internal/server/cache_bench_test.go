@@ -10,6 +10,7 @@ import (
 	"boundedg/internal/access"
 	"boundedg/internal/graph"
 	"boundedg/internal/runtime"
+	"boundedg/internal/store"
 	"boundedg/internal/workload"
 )
 
@@ -25,7 +26,8 @@ func benchServer(b *testing.B, cfg Config) (*Server, []byte, func()) {
 	if viols != nil {
 		b.Fatalf("index build: %v", viols[0])
 	}
-	eng, err := runtime.New(d.G, idx, runtime.Config{Workers: 4})
+	st := store.New(d.G, idx)
+	eng, err := runtime.NewFromStore(st, runtime.Config{Workers: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func benchServer(b *testing.B, cfg Config) (*Server, []byte, func()) {
 	// until the access bounds accept the insertion; whether flips on the
 	// pad are disjoint from the benchmark query's footprint is verified
 	// by the revalidated benchmark itself (it insists on cache hits).
-	snap := eng.Acquire()
+	snap := st.Acquire()
 	labels := snap.G.Labels()
 	snap.Release()
 	var pad [2]graph.NodeID

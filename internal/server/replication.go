@@ -66,16 +66,17 @@ type StreamRedirect struct {
 }
 
 // walDir resolves the replication endpoints' WAL directory, writing the
-// refusal when this server cannot serve them: a sharded daemon is an
-// explicit 501 (per-shard logs have no single offset space to stream; see
-// the stub note in docs/ARCHITECTURE.md), anything else without a WAL a
-// 404.
+// refusal when this server cannot serve them: a sharded daemon — an
+// enveloped directory, or a source whose stats carry an epoch vector — is
+// an explicit 501 (per-shard logs have no single offset space to stream;
+// see the stub note in docs/ARCHITECTURE.md), anything else without a WAL
+// a 404.
 func (s *Server) walDir(w http.ResponseWriter) *wal.Dir {
 	d := s.cfg.WAL
 	if d != nil && !d.Enveloped() {
 		return d
 	}
-	if d != nil || s.eng.Router() != nil {
+	if d != nil || s.eng.SourceStats().Vector != nil {
 		s.writeError(w, http.StatusNotImplemented, errors.New("replication of a sharded store is unsupported (stream one unsharded primary per follower)"))
 	} else {
 		s.writeError(w, http.StatusNotFound, errors.New("not a durable primary (start the daemon with -wal)"))

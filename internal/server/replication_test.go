@@ -160,7 +160,7 @@ func TestWALCheckpointServesBootstrapState(t *testing.T) {
 			t.Fatalf("update %d: status %d", i, code)
 		}
 	}
-	if err := e.eng.Store().Checkpoint(); err != nil {
+	if err := e.st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if ck := fetch(t); ck.Epoch != 3 {

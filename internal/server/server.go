@@ -23,7 +23,7 @@
 //	POST /query    evaluate a pattern (JSON body, see QueryRequest)
 //	POST /update   apply a graph delta (JSON body, see graph.ReadDeltaJSON)
 //	GET  /stats    engine counters, cache hit/miss, epoch, update counters
-//	GET  /healthz  liveness probe
+//	GET  /healthz  liveness probe (503 once the source has wedged)
 package server
 
 import (
@@ -77,7 +77,7 @@ type Config struct {
 	// replication endpoints: GET /wal/checkpoint serves the current
 	// checkpoint snapshot and GET /wal/stream serves committed log
 	// records from an offset, then tails the live log (see
-	// docs/OPERATIONS.md). Sharded directories are refused with 501 —
+	// docs/OPERATIONS.md). Sharded daemons refuse them with 501 —
 	// scatter/gather replication is not implemented.
 	WAL *wal.Dir
 	// Follower marks this server a read-only replica (boundedgd -follow):
@@ -237,6 +237,10 @@ type UpdateStats struct {
 	// the participant-only fast path is doing its job on a well-
 	// partitioned write stream.
 	ShardTxns uint64 `json:"shard_txns,omitempty"`
+	// Wedged reports that a WAL failure barred writes for good (every
+	// /update answers 503 until a restart; reads keep the last durable
+	// epoch). Omitted while healthy.
+	Wedged bool `json:"wedged,omitempty"`
 }
 
 // WALStats reports the durability subsystem's state in /stats. Offset,
@@ -532,9 +536,10 @@ func cacheKey(canon string, sem core.Semantics, limit int) string {
 // deleted no node whose label a consulted type-1 entry lists), the answer
 // is bit-identical at the new version, so the entry is promoted in place
 // — an O(|Δ|) set intersection instead of a re-execution. Promotion is
-// refused (recompute instead) when the ring was outrun, the footprint
-// overflowed or intersects the changes, or — sharded — the summary
-// carries no epoch vector to restamp the response with.
+// refused (recompute instead) when the ring was outrun, or the footprint
+// overflowed or intersects the changes. A summary that carries an epoch
+// vector (a sharded source) restamps the promoted response with it: the
+// response must report the exact cut a fresh execution at sum.Epoch pins.
 func (s *Server) freshen(key string, ent *cacheEntry) (*QueryResponse, bool) {
 	ver := s.eng.Version()
 	if ent.epoch >= ver {
@@ -550,13 +555,7 @@ func (s *Server) freshen(key string, ent *cacheEntry) (*QueryResponse, bool) {
 		return nil, false
 	}
 	resp := ent.resp
-	if s.eng.Router() != nil {
-		if sum.Vector == nil {
-			// No vector to restamp with — a promoted response must report
-			// the exact cut a fresh execution at sum.Epoch would pin.
-			s.cacheRecomp.Add(1)
-			return nil, false
-		}
+	if sum.Vector != nil {
 		v := *ent.resp
 		v.Vector = sum.Vector
 		resp = &v
@@ -810,59 +809,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Served: s.served.Load(),
 		Errors: s.errors.Load(),
 	}
-	if rt := s.eng.Router(); rt != nil {
-		rs := rt.Stats()
-		resp.Epoch = rs.GSN
-		resp.Vector = rs.Vector
-		resp.GraphNodes = int(rs.Nodes)
-		resp.GraphEdges = int(rs.Edges)
-		resp.Updates = UpdateStats{
-			Enabled:           s.cfg.EnableUpdates,
-			Applied:           rs.Applied,
-			Batches:           rs.Batches,
-			RejectedViolation: rs.RejectedViolation,
-			RejectedError:     rs.RejectedError,
-			TouchedRows:       rs.TouchedRows,
-			ShardTxns:         rs.ShardTxns,
-		}
-		resp.Shards = make([]ShardStats, len(rs.Shards))
-		for i, ss := range rs.Shards {
-			resp.WAL.Enabled = resp.WAL.Enabled || ss.Durable
-			resp.Shards[i] = ShardStats{
-				Shard:      i,
-				Epoch:      ss.Epoch,
-				QueueDepth: ss.QueueDepth,
-				WAL: WALStats{
-					Enabled:             ss.Durable,
-					Offset:              ss.WALOffset,
-					Records:             ss.WALRecords,
-					Syncs:               ss.WALSyncs,
-					LastCheckpointEpoch: ss.LastCheckpointEpoch,
-				},
-			}
-		}
-	} else {
-		snap := s.eng.Acquire()
-		resp.GraphNodes, resp.GraphEdges = snap.G.NumNodes(), snap.G.NumEdges()
-		resp.Epoch = snap.Epoch
-		snap.Release()
-		us := s.eng.Store().Stats()
-		resp.Updates = UpdateStats{
-			Enabled:           s.cfg.EnableUpdates,
-			Applied:           us.Applied,
-			Batches:           us.Batches,
-			RejectedViolation: us.RejectedViolation,
-			RejectedError:     us.RejectedError,
-			TouchedRows:       us.TouchedRows,
-			LastApplyMS:       float64(us.LastApplyNS) / 1e6,
-		}
-		resp.WAL = WALStats{
-			Enabled:             us.Durable,
-			Offset:              us.WALOffset,
-			Records:             us.WALRecords,
-			Syncs:               us.WALSyncs,
-			LastCheckpointEpoch: us.LastCheckpointEpoch,
-		}
+	ss := s.eng.SourceStats()
+	resp.Epoch, resp.Vector = ss.Epoch, ss.Vector
+	resp.GraphNodes, resp.GraphEdges = int(ss.Nodes), int(ss.Edges)
+	resp.Updates = UpdateStats{
+		Enabled:           s.cfg.EnableUpdates,
+		Applied:           ss.Applied,
+		Batches:           ss.Batches,
+		RejectedViolation: ss.RejectedViolation,
+		RejectedError:     ss.RejectedError,
+		TouchedRows:       ss.TouchedRows,
+		LastApplyMS:       float64(ss.LastApplyNS) / 1e6,
+		ShardTxns:         ss.ShardTxns,
+		Wedged:            ss.Wedged,
+	}
+	resp.WAL = walStats(ss)
+	for i, sh := range ss.Shards {
+		resp.Shards = append(resp.Shards, ShardStats{Shard: i, Epoch: sh.Epoch, QueueDepth: sh.QueueDepth, WAL: walStats(sh)})
 	}
 	if s.cfg.ReplicationStats != nil {
 		rs := s.cfg.ReplicationStats()
@@ -881,6 +844,24 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
+// walStats renders one source's (or one shard's) WAL figures.
+func walStats(ss store.Stats) WALStats {
+	return WALStats{
+		Enabled:             ss.Durable,
+		Offset:              ss.WALOffset,
+		Records:             ss.WALRecords,
+		Syncs:               ss.WALSyncs,
+		LastCheckpointEpoch: ss.LastCheckpointEpoch,
+	}
+}
+
+// handleHealthz is the liveness probe. A wedged source still serves reads
+// at its last durable epoch but refuses every write until a restart, so
+// it reports 503: an orchestrator should replace the process.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if s.eng.SourceStats().Wedged {
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "wedged"})
+		return
+	}
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -21,6 +21,8 @@ import (
 	"boundedg/internal/match"
 	"boundedg/internal/pattern"
 	"boundedg/internal/runtime"
+	"boundedg/internal/shard"
+	"boundedg/internal/store"
 	"boundedg/internal/workload"
 )
 
@@ -28,6 +30,8 @@ import (
 type env struct {
 	d   *workload.Dataset
 	idx *access.IndexSet
+	st  *store.Store  // the backend of an unsharded env
+	rt  *shard.Router // the backend of a sharded env
 	eng *runtime.Engine
 	srv *Server
 	ts  *httptest.Server
@@ -39,7 +43,8 @@ func newEnv(t *testing.T, d *workload.Dataset, cfg Config) *env {
 	if viols != nil {
 		t.Fatalf("index build: %v", viols[0])
 	}
-	eng, err := runtime.New(d.G, idx, runtime.Config{Workers: 4})
+	st := store.New(d.G, idx)
+	eng, err := runtime.NewFromStore(st, runtime.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +55,7 @@ func newEnv(t *testing.T, d *workload.Dataset, cfg Config) *env {
 		ts.Close()
 		eng.Close()
 	})
-	return &env{d: d, idx: idx, eng: eng, srv: srv, ts: ts}
+	return &env{d: d, idx: idx, st: st, eng: eng, srv: srv, ts: ts}
 }
 
 // post sends a QueryRequest and decodes the response into out (a

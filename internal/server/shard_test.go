@@ -55,7 +55,7 @@ func newShardedEnv(t *testing.T, d *workload.Dataset, n int, cfg Config) *env {
 		ts.Close()
 		eng.Close()
 	})
-	return &env{d: d, eng: eng, srv: srv, ts: ts}
+	return &env{d: d, rt: r, eng: eng, srv: srv, ts: ts}
 }
 
 // postRaw posts body to path and returns the status plus the response
@@ -160,7 +160,7 @@ func TestServerShardedDifferential(t *testing.T) {
 				for round := 0; round < 30; round++ {
 					// One update per round, generated against the unsharded
 					// server's current graph so references stay live.
-					snap := base.eng.Store().Acquire()
+					snap := base.st.Acquire()
 					delta := shardUpdateDelta(rng, snap.G)
 					snap.Release()
 					var dbuf bytes.Buffer

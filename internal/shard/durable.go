@@ -56,7 +56,7 @@ func Create(path string, in *graph.Interner, g *graph.Graph, idx *access.IndexSe
 		return nil, fmt.Errorf("shard: create dir: %w", err)
 	}
 	graphs, idxs := Partition(g, idx, m)
-	r := &Router{m: m, stores: make([]*store.Store, nshards), dirs: make([]*wal.Dir, nshards), fsync: fsync, clog: store.NewChangeLog(0)}
+	r := newRouter(m, fsync)
 	for s := 0; s < nshards; s++ {
 		d, err := wal.OpenDirEnveloped(shardPath(path, s), in)
 		if err != nil {
@@ -213,7 +213,7 @@ func Recover(path string, in *graph.Interner, fsync bool) (*Router, *RecoverInfo
 	info := &RecoverInfo{Vector: make([]uint64, n)}
 	maxSeq := uint64(0)
 	torn := make(map[uint64]bool)
-	r := &Router{m: m, stores: make([]*store.Store, n), dirs: make([]*wal.Dir, n), fsync: fsync, clog: store.NewChangeLog(0)}
+	r := newRouter(m, fsync)
 	var nextID int64
 	var nodes, edges int64
 	for s, st := range states {

@@ -121,7 +121,7 @@ func TestRouterCrashTornBatch(t *testing.T) {
 					}
 				}
 			}
-			preGSN := r.GSN()
+			preGSN := r.Epoch()
 			if e := ust.Epoch(); e != preGSN {
 				t.Fatalf("reference epoch %d, router GSN %d after warmup", e, preGSN)
 			}
@@ -220,8 +220,8 @@ func TestRouterCrashTornBatch(t *testing.T) {
 			if uerr != nil || serr != nil {
 				t.Fatalf("re-apply after recovery: unsharded err %v, sharded err %v", uerr, serr)
 			}
-			if ures.Epoch != sres.GSN {
-				t.Fatalf("re-apply: epoch %d vs GSN %d", ures.Epoch, sres.GSN)
+			if ures.Epoch != sres.Epoch {
+				t.Fatalf("re-apply: epoch %d vs GSN %d", ures.Epoch, sres.Epoch)
 			}
 			if ures.TouchedRows != sres.TouchedRows {
 				t.Fatalf("re-apply: touched rows %d vs %d", ures.TouchedRows, sres.TouchedRows)
@@ -274,7 +274,7 @@ func TestRouterCrashArbitrarySubset(t *testing.T) {
 			}
 		}
 	}
-	preGSN := r.GSN()
+	preGSN := r.Epoch()
 	tornSeq := accepted + 1
 
 	// Pick a live node replicated on >= 3 shards (its owner plus the stub
@@ -309,7 +309,7 @@ func TestRouterCrashArbitrarySubset(t *testing.T) {
 	// Pin the participant set before injecting the crash: a wrong guess
 	// would deadlock the hook coordination below.
 	cut := r.AcquireCut()
-	sp, err := splitDelta(torn, m, func(s int) *graph.Graph { return cut.Snaps[s].G }, graph.NodeID(r.Stats().NextID))
+	sp, err := splitDelta(torn, m, func(s int) *graph.Graph { return cut.Snaps[s].G }, graph.NodeID(r.nextID.Load()))
 	cut.Release()
 	if err != nil {
 		t.Fatal(err)
@@ -390,8 +390,8 @@ func TestRouterCrashArbitrarySubset(t *testing.T) {
 	if uerr != nil || serr != nil {
 		t.Fatalf("re-apply after recovery: unsharded err %v, sharded err %v", uerr, serr)
 	}
-	if ures.Epoch != sres.GSN {
-		t.Fatalf("re-apply: epoch %d vs GSN %d", ures.Epoch, sres.GSN)
+	if ures.Epoch != sres.Epoch {
+		t.Fatalf("re-apply: epoch %d vs GSN %d", ures.Epoch, sres.Epoch)
 	}
 	usnap = ust.Acquire()
 	checkShardedState(t, r2, usnap.G, usnap.Idx, d.In)

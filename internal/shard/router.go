@@ -13,55 +13,16 @@ import (
 	"boundedg/internal/wal"
 )
 
-// Result reports one accepted update through the router.
-type Result struct {
-	// GSN is the global sequence number (the batch epoch) the update
-	// published at. Concurrently accepted deltas share it.
-	GSN uint64
-	// Vector is the per-shard epoch vector after the commit. A shard the
-	// batch did not touch keeps its previous epoch — entries are the
-	// epochs a consistent cut at this GSN pins.
-	Vector []uint64
-	// NewIDs are the global node IDs assigned to the delta's AddNodes.
-	NewIDs []graph.NodeID
-	// TouchedRows counts the rows whose adjacency the delta changed,
-	// summed globally — identical to the unsharded figure.
-	TouchedRows int
-	// LogOffsets holds, per shard, the WAL offset this delta's envelope
-	// record ends at (0 for shards the delta did not touch, and
-	// everywhere on an in-memory router).
-	LogOffsets []int64
-}
-
-// Stats is a point-in-time observation of the router.
-type Stats struct {
-	GSN    uint64
-	Vector []uint64
-	// Nodes/Edges are the global live counts (each edge counted once,
-	// not per replica).
-	Nodes int64
-	Edges int64
-	// NextID is the next free global node ID.
-	NextID int64
-	// Applied/Batches/TouchedRows and the rejection counters mirror the
-	// unsharded store's, accounted at the router (per-shard store stats
-	// would double-count cross-shard deltas).
-	Applied           uint64
-	Batches           uint64
-	RejectedViolation uint64
-	RejectedError     uint64
-	TouchedRows       uint64
-	// ShardTxns counts shard write transactions begun: a batch touching
-	// k shards opens k, so ShardTxns/Batches is the mean commit fan-out
-	// — the observable for the participant-only fast path.
-	ShardTxns uint64
-	// QueueDepth is the number of Apply calls waiting in the router's
-	// group-commit queue at observation time.
-	QueueDepth int
-	// Shards holds each shard store's own stats (epoch, queue depths,
-	// WAL figures).
-	Shards []store.Stats
-}
+// Result, Stats and Cut are the store's: a router reports through the
+// same types as a single store, filling the router-only fields (Vector,
+// ShardLogOffsets, ShardTxns, Shards, ShardOf). Epoch is the global
+// sequence number (GSN) throughout; the counters are accounted at the
+// router (per-shard store stats would double-count cross-shard deltas).
+type (
+	Result = store.Result
+	Stats  = store.Stats
+	Cut    = store.Cut
+)
 
 // Router owns one store per shard behind a deterministic node partition
 // and coordinates cross-shard commits: updates split into per-shard
@@ -71,10 +32,11 @@ type Stats struct {
 // router's publication lock so the epoch vector is never observed
 // half-advanced.
 type Router struct {
-	m      Map
-	stores []*store.Store
-	dirs   []*wal.Dir // nil entries when in-memory
-	fsync  bool
+	m       Map
+	shardOf func(graph.NodeID) int // m.Of, bound once for the cuts
+	stores  []*store.Store
+	dirs    []*wal.Dir // nil entries when in-memory
+	fsync   bool
 
 	qmu   sync.Mutex
 	queue []*routerReq
@@ -135,6 +97,18 @@ type routerReq struct {
 	err  error
 }
 
+// newRouter returns a router shell over m: no stores or directories yet.
+func newRouter(m Map, fsync bool) *Router {
+	return &Router{
+		m:       m,
+		shardOf: m.Of,
+		stores:  make([]*store.Store, m.Shards),
+		dirs:    make([]*wal.Dir, m.Shards),
+		fsync:   fsync,
+		clog:    store.NewChangeLog(0),
+	}
+}
+
 // New builds an in-memory router over g and idx split n ways. The inputs
 // are consumed (partitioned into per-shard copies); the caller must not
 // use them afterwards.
@@ -144,7 +118,7 @@ func New(g *graph.Graph, idx *access.IndexSet, nshards int) (*Router, error) {
 		return nil, err
 	}
 	graphs, idxs := Partition(g, idx, m)
-	r := &Router{m: m, stores: make([]*store.Store, nshards), dirs: make([]*wal.Dir, nshards), clog: store.NewChangeLog(0)}
+	r := newRouter(m, false)
 	for s := 0; s < nshards; s++ {
 		r.stores[s] = store.New(graphs[s], idxs[s], store.WithRefreshFilter(m.ownsFn(s)), store.WithChangeLog(-1))
 	}
@@ -163,12 +137,13 @@ func (r *Router) NumShards() int { return r.m.Shards }
 // Schema returns the access schema (shared by every shard's index set).
 func (r *Router) Schema() *access.Schema { return r.stores[0].Schema() }
 
-// GSN returns the current global sequence number.
-func (r *Router) GSN() uint64 { return r.gsn.Load() }
+// Epoch returns the router's published version: the current global
+// sequence number (GSN).
+func (r *Router) Epoch() uint64 { return r.gsn.Load() }
 
 // PublishSignal returns a channel closed the next time a batch publishes
 // a new GSN. Same one-shot level-trigger protocol as
-// store.Store.PublishSignal: grab the channel before reading GSN, then
+// store.Store.PublishSignal: grab the channel before reading Epoch, then
 // block; re-grab after each wake.
 func (r *Router) PublishSignal() <-chan struct{} {
 	r.pubMu.Lock()
@@ -194,14 +169,6 @@ func (r *Router) signalPublish() {
 // Store returns shard s's store (tests and stats).
 func (r *Router) Store(s int) *store.Store { return r.stores[s] }
 
-// Cut is a pinned consistent snapshot of every shard: one epoch vector,
-// acquired atomically with respect to commits. Release it when done.
-type Cut struct {
-	Snaps  []*store.Snapshot
-	Vector []uint64
-	GSN    uint64
-}
-
 // AcquireCut pins the current epoch on every shard under the publication
 // read lock, so the snapshots form exactly the vector a single commit
 // boundary published — a query never mixes epochs.
@@ -209,23 +176,17 @@ func (r *Router) AcquireCut() *Cut {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	c := &Cut{
-		Snaps:  make([]*store.Snapshot, len(r.stores)),
-		Vector: make([]uint64, len(r.stores)),
+		Snaps:   make([]*store.Snapshot, len(r.stores)),
+		Vector:  make([]uint64, len(r.stores)),
+		ShardOf: r.shardOf,
 	}
 	for i, st := range r.stores {
 		s := st.Acquire()
 		c.Snaps[i] = s
 		c.Vector[i] = s.Epoch
 	}
-	c.GSN = r.gsn.Load()
+	c.Epoch = r.gsn.Load()
 	return c
-}
-
-// Release unpins every shard snapshot of the cut.
-func (c *Cut) Release() {
-	for _, s := range c.Snaps {
-		s.Release()
-	}
 }
 
 // Apply routes one delta through the cross-shard group commit. Semantics
@@ -293,14 +254,7 @@ func (r *Router) commitBatch(batch []*routerReq) {
 		// suspect, and partial wedging would desync the shards. Fail the
 		// waiters, wedge everything, re-panic.
 		if txnsOpen {
-			for s, t := range txns {
-				if t != nil {
-					_ = t.RewindLog()
-					t.Wedge()
-				} else {
-					r.stores[s].Wedge()
-				}
-			}
+			_ = r.wedgeAll(txns)
 		}
 		if !settled {
 			for _, req := range batch {
@@ -475,7 +429,7 @@ reqs:
 		totalRows += uint64(sp.touched)
 		batchRows = append(batchRows, sp.rows...)
 		batchLabels = append(batchLabels, sp.labels...)
-		req.res = Result{NewIDs: sp.newIDs, TouchedRows: sp.touched, LogOffsets: make([]int64, n)}
+		req.res = Result{NewIDs: sp.newIDs, TouchedRows: sp.touched, ShardLogOffsets: make([]int64, n)}
 		for _, t := range sp.parts {
 			stagedReqs[t] = append(stagedReqs[t], req)
 		}
@@ -562,18 +516,22 @@ reqs:
 	}
 	for _, s := range parts {
 		if err := logErrs[s]; err != nil {
-			r.wedgeAll(txns, batch, err)
+			// Mirror the unsharded wedge path: the whole fleet wedges and
+			// every request without a verdict of its own fails.
+			werr := store.WedgeError(err, r.wedgeAll(txns))
 			txnsOpen = false
-			settled = true
 			for _, req := range batch {
-				close(req.done)
+				if req.err == nil {
+					req.res, req.err = Result{}, werr
+				}
 			}
+			finish()
 			return
 		}
 	}
 	for _, s := range parts {
 		for i, req := range stagedReqs[s] {
-			req.res.LogOffsets[s] = offsBy[s][i]
+			req.res.ShardLogOffsets[s] = offsBy[s][i]
 		}
 	}
 
@@ -641,7 +599,7 @@ reqs:
 	r.batches.Add(1)
 	r.touched.Add(totalRows)
 	for _, req := range accepted {
-		req.res.GSN = epoch
+		req.res.Epoch = epoch
 		req.res.Vector = vector
 	}
 	finish()
@@ -700,34 +658,21 @@ func (r *Router) checkGlobal(txns []*store.Txn, snaps []*store.Snapshot, schema 
 	return viols
 }
 
-// wedgeAll handles a per-shard log failure mid-batch: rewind every
-// record the batch already appended on any shard, wedge every store —
-// the ones the batch never opened included, so the fleet fails in
-// lockstep — and fail the accepted requests, mirroring the unsharded
-// wedge path.
-func (r *Router) wedgeAll(txns []*store.Txn, batch []*routerReq, cause error) {
-	rewindNote := ""
-	for _, t := range txns {
-		if t == nil {
-			continue
-		}
-		if err := t.RewindLog(); err != nil && rewindNote == "" {
-			rewindNote = fmt.Sprintf(" (log rewind also failed: %v; recovery may replay this batch)", err)
-		}
-	}
+// wedgeAll wedges every store — the ones the batch never opened a
+// transaction on included, so the fleet fails in lockstep instead of
+// letting their epochs drift from the global sequence — rewinding every
+// record the batch already appended on any shard. It returns the first
+// rewind failure.
+func (r *Router) wedgeAll(txns []*store.Txn) error {
+	var rewindErr error
 	for s, t := range txns {
-		if t != nil {
-			t.Wedge()
-		} else {
+		if t == nil {
 			r.stores[s].Wedge()
+		} else if err := t.Wedge(); err != nil && rewindErr == nil {
+			rewindErr = err
 		}
 	}
-	for _, req := range batch {
-		if req.err == nil {
-			req.err = fmt.Errorf("%w; update not committed: %v%s", store.ErrWedged, cause, rewindNote)
-			req.res = Result{}
-		}
-	}
+	return rewindErr
 }
 
 // Checkpoint checkpoints every shard's WAL at its current epoch. Shard
@@ -768,11 +713,10 @@ func (r *Router) CloseDirs() error {
 // Stats gathers router-level and per-shard statistics.
 func (r *Router) Stats() Stats {
 	st := Stats{
-		GSN:               r.gsn.Load(),
+		Epoch:             r.gsn.Load(),
 		Vector:            make([]uint64, len(r.stores)),
 		Nodes:             r.nodes.Load(),
 		Edges:             r.edges.Load(),
-		NextID:            r.nextID.Load(),
 		Applied:           r.applied.Load(),
 		Batches:           r.batches.Load(),
 		RejectedViolation: r.rejViol.Load(),
@@ -787,6 +731,8 @@ func (r *Router) Stats() Stats {
 	for i, s := range r.stores {
 		st.Shards[i] = s.Stats()
 		st.Vector[i] = st.Shards[i].Epoch
+		st.Wedged = st.Wedged || st.Shards[i].Wedged
+		st.Durable = st.Durable || st.Shards[i].Durable
 	}
 	return st
 }

@@ -190,8 +190,8 @@ func TestRouterDifferential(t *testing.T) {
 					if ures.TouchedRows != sres.TouchedRows {
 						t.Fatalf("delta %d: touched rows %d vs %d", i, ures.TouchedRows, sres.TouchedRows)
 					}
-					if ures.Epoch != sres.GSN {
-						t.Fatalf("delta %d: epoch %d vs GSN %d", i, ures.Epoch, sres.GSN)
+					if ures.Epoch != sres.Epoch {
+						t.Fatalf("delta %d: epoch %d vs GSN %d", i, ures.Epoch, sres.Epoch)
 					}
 				}
 				snap := ust.Acquire()
@@ -248,9 +248,9 @@ func TestRouterSingleShardFastPath(t *testing.T) {
 		if uerr != nil || serr != nil {
 			t.Fatalf("apply: unsharded err %v, sharded err %v", uerr, serr)
 		}
-		if ures.Epoch != sres.GSN || ures.TouchedRows != sres.TouchedRows {
+		if ures.Epoch != sres.Epoch || ures.TouchedRows != sres.TouchedRows {
 			t.Fatalf("verdict diverged: epoch %d vs GSN %d, rows %d vs %d",
-				ures.Epoch, sres.GSN, ures.TouchedRows, sres.TouchedRows)
+				ures.Epoch, sres.Epoch, ures.TouchedRows, sres.TouchedRows)
 		}
 		after := r.Stats()
 		if got := after.ShardTxns - before.ShardTxns; got != wantTxns {
@@ -262,8 +262,8 @@ func TestRouterSingleShardFastPath(t *testing.T) {
 		}
 		for s := 0; s < n; s++ {
 			if bumped[s] {
-				if after.Vector[s] != sres.GSN {
-					t.Fatalf("participant shard %d epoch %d, want GSN %d", s, after.Vector[s], sres.GSN)
+				if after.Vector[s] != sres.Epoch {
+					t.Fatalf("participant shard %d epoch %d, want GSN %d", s, after.Vector[s], sres.Epoch)
 				}
 			} else if after.Vector[s] != before.Vector[s] {
 				t.Fatalf("untouched shard %d epoch moved %d -> %d", s, before.Vector[s], after.Vector[s])

@@ -27,16 +27,27 @@
 // E has released — which is why a snapshot must be released promptly,
 // and why no query ever observes a half-applied epoch.
 //
+// # One writer sequence
+//
+// Every write runs through a Txn: begin (take the writer lock, prepare
+// the shadow as above) → Stage each delta and settle its verdict → Log
+// the survivors → Commit (record the change ring, refresh the CSR, swap
+// the pointer, advance the log's published offset, rotate the
+// instances) — or Wedge. The group-commit leader behind Apply, the
+// replica path (ApplyReplicated) and the shard router (one Txn per
+// participant shard) are three callers of that one sequence; they differ
+// only in who judges a staged delta.
+//
 // # Group commit
 //
-// Apply is the only write path, and it batches: concurrently submitted
-// deltas queue up while one caller — the leader, whichever Apply call
-// takes the writer lock first — drains the whole queue and commits it as
-// a single epoch. Each delta in the batch keeps its individual
-// accept/reject verdict (access.IndexSet.ApplyDeltaTx applies or rejects
-// it atomically, in queue order), but the fixed per-epoch overheads —
-// waiting out readers, the CSR refresh, the pointer swap, and the WAL
-// fsync — are paid once per batch instead of once per delta. Under a
+// Apply is the client-facing write path, and it batches: concurrently
+// submitted deltas queue up while one caller — the leader, whichever
+// Apply call takes the writer lock first — drains the whole queue and
+// commits it as a single epoch. Each delta in the batch keeps its
+// individual accept/reject verdict (staged, checked against the bounds,
+// kept or rolled back, in queue order), but the fixed per-epoch
+// overheads — waiting out readers, the CSR refresh, the pointer swap, and
+// the WAL fsync — are paid once per batch instead of once per delta. Under a
 // write burst the epoch rate and the fsync rate both collapse to the
 // batch rate (see BenchmarkGroupCommit), which is exactly the update
 // batching the per-epoch fixed costs call for at small |ΔG|.
@@ -58,6 +69,7 @@
 // log so replay stays short. If the log itself fails mid-batch the store
 // wedges: the batch errors with ErrWedged, records it already appended
 // are rewound out of the log (recovery must not replay updates whose
-// callers were told they failed), no epoch is published, and further
-// writes are refused — readers keep the last durable state.
+// callers were told they failed), no epoch is published, and every
+// writer entrance refuses with ErrWedged from then on — readers keep the
+// last durable state, and Stats reports Wedged.
 package store

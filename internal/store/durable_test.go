@@ -440,3 +440,82 @@ func BenchmarkGroupCommit(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { run(b, 1) })
 	b.Run("writers-8", func(b *testing.B) { run(b, 8) })
 }
+
+// TestStoreLogIsPlainRecords pins the unsharded on-disk format across the
+// commit-path refactor, in both directions: the log a durable store
+// writes is byte-for-byte the log wal.Dir.Init plus plain Log.Append
+// calls write for the same accepted deltas (the bgwal001 layout every
+// earlier build wrote and reads), and a directory written that way
+// recovers to exactly the store's live state.
+func TestStoreLogIsPlainRecords(t *testing.T) {
+	g, idx, in := benchState(t)
+	fg, fidx := g.Clone(), idx.Clone()
+	item := in.Intern("item")
+	deltas := []*graph.Delta{
+		{AddNodes: []graph.NodeSpec{{Label: item}}, AddEdges: [][2]graph.NodeID{{graph.NewNodeRef(0), 0}}},
+		{DelNodes: []graph.NodeID{999999}}, // rejected: never logged
+		{AddEdges: [][2]graph.NodeID{{1, 2}, {2, 3}}},
+		{DelEdges: [][2]graph.NodeID{{1, 2}}, DelNodes: []graph.NodeID{5}},
+	}
+
+	dir := t.TempDir()
+	wd, err := wal.OpenDir(dir, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wd.Init(0, g, idx); err != nil {
+		t.Fatal(err)
+	}
+	st := New(g, idx, WithWAL(wd, true))
+
+	fixture := t.TempDir()
+	fd, err := wal.OpenDir(fixture, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.Init(0, fg, fidx); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range deltas {
+		res, err := st.Apply(d)
+		if err != nil {
+			continue
+		}
+		off, err := fd.Log().Append(res.Epoch, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off != res.LogOffset {
+			t.Fatalf("epoch %d: store logged through offset %d, plain Append through %d", res.Epoch, res.LogOffset, off)
+		}
+	}
+	if err := fd.Log().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	storeLog, err := os.ReadFile(wd.Log().Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainLog, err := os.ReadFile(fd.Log().Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(storeLog, plainLog) {
+		t.Fatalf("store log (%d bytes) differs from the plain-Append log (%d bytes)", len(storeLog), len(plainLog))
+	}
+	if err := fd.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rg, ridx, rin, rd, info := recoverDir(t, fixture)
+	defer rd.Close()
+	snap := st.Acquire()
+	defer snap.Release()
+	if info.Epoch != snap.Epoch || info.Records != 3 {
+		t.Fatalf("fixture recovered %d records to epoch %d, want 3 records / epoch %d", info.Records, info.Epoch, snap.Epoch)
+	}
+	if !bytes.Equal(snapBytes(t, rg, ridx, rin), snapBytes(t, snap.G, snap.Idx, in)) {
+		t.Fatal("state recovered from the plain-Append fixture differs from the live store")
+	}
+	wd.Close()
+}

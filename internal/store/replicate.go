@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"time"
 
 	"boundedg/internal/access"
 	"boundedg/internal/graph"
@@ -28,94 +27,25 @@ import (
 // is returned for the caller to surface. Callers hand over the deltas —
 // they must not be reused afterwards.
 func (st *Store) ApplyReplicated(epoch uint64, deltas []*graph.Delta) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		if st.wedged {
-			return ErrWedged
-		}
-		return ErrClosed
+	t, err := st.BeginTxn()
+	if err != nil {
+		return err
 	}
-	started := time.Now()
-	cur := st.cur.Load()
-	if epoch != cur.Epoch+1 {
-		return fmt.Errorf("store: replicated epoch %d does not follow published epoch %d", epoch, cur.Epoch)
+	defer t.guard()
+	if epoch != t.cur.Epoch+1 {
+		t.Abort()
+		return fmt.Errorf("store: replicated epoch %d does not follow published epoch %d", epoch, t.cur.Epoch)
 	}
-	if st.shadow == nil {
-		st.shadow = &state{g: cur.G.Clone(), idx: cur.Idx.Clone()}
-	}
-	st.waitDrained(st.prev)
-	st.prev = nil
-	for _, ld := range st.lag {
-		if err := st.shadow.idx.ReplayDelta(st.shadow.g, ld.d, ld.rows); err != nil {
-			panic("store: lag replay diverged: " + err.Error())
-		}
-	}
-	st.lag = nil
-
-	var rows []graph.NodeID
-	var labels []graph.Label
-	var acceptedLag []lagEntry
 	for i, d := range deltas {
-		commitLabels, _, err := d.ResolveLabels(st.shadow.g.Interner())
-		if err != nil {
-			st.closed, st.wedged = true, true
-			return fmt.Errorf("store: replicated epoch %d delta %d: %w", epoch, i, err)
-		}
-		var dLabels []graph.Label
-		for _, sp := range d.AddNodes {
-			dLabels = append(dLabels, sp.Label)
-		}
-		for _, v := range d.DelNodes {
-			if st.shadow.g.Contains(v) {
-				dLabels = append(dLabels, st.shadow.g.LabelOf(v))
-			}
-		}
-		res, err := st.shadow.idx.ApplyDeltaTx(st.shadow.g, d)
-		if err != nil {
+		if _, err := t.stageLocal(d); err != nil {
 			// The primary committed this delta; a reject here means the two
 			// histories no longer agree. Wedge rather than serve a state
 			// that silently drifted.
-			st.closed, st.wedged = true, true
+			_ = t.Wedge()
 			return fmt.Errorf("store: replica diverged from primary at epoch %d delta %d: %w", epoch, i, err)
 		}
-		commitLabels()
-		rows = append(rows, res.Touched...)
-		labels = append(labels, dLabels...)
-		acceptedLag = append(acceptedLag, lagEntry{d: d.Clone(), rows: st.lagRows(res.Touched)})
 	}
-
-	if st.clog != nil {
-		st.clog.Record(epoch, nil, rows, labels)
-	}
-	nrows := len(rows)
-	if st.ownRow != nil {
-		kept := rows[:0]
-		for _, v := range rows {
-			if st.ownRow(v) {
-				kept = append(kept, v)
-			}
-		}
-		rows = kept
-	}
-	next := &Snapshot{
-		G:     st.shadow.g,
-		Fz:    cur.Fz.Refresh(st.shadow.g, rows),
-		Idx:   st.shadow.idx,
-		Epoch: epoch,
-		st:    st.shadow,
-	}
-	st.cur.Store(next)
-	st.signalPublish()
-	cur.retired.Store(true)
-	st.prev = cur
-	st.shadow = cur.st
-	st.lag = acceptedLag
-
-	st.applied.Add(uint64(len(deltas)))
-	st.batches.Add(1)
-	st.touched.Add(uint64(nrows))
-	st.lastApplyNS.Store(time.Since(started).Nanoseconds())
+	t.Commit(epoch)
 	return nil
 }
 
@@ -131,11 +61,8 @@ func (st *Store) ApplyReplicated(epoch uint64, deltas []*graph.Delta) error {
 func (st *Store) ResetReplicated(epoch uint64, g *graph.Graph, idx *access.IndexSet) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		if st.wedged {
-			return ErrWedged
-		}
-		return ErrClosed
+	if err := st.refuse(); err != nil {
+		return err
 	}
 	cur := st.cur.Load()
 	if epoch < cur.Epoch {

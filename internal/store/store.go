@@ -13,18 +13,18 @@ import (
 	"boundedg/internal/wal"
 )
 
-// ErrClosed is returned by Apply after Close, and by every write once the
-// store has wedged on a WAL failure.
+// ErrClosed is returned by every writer entrance after Close.
 var ErrClosed = errors.New("store: closed")
 
 // ErrNotDurable is returned by Checkpoint on a store without a WAL.
 var ErrNotDurable = errors.New("store: no WAL attached")
 
-// ErrWedged is the error of a batch whose WAL append or fsync failed: the
-// epoch was never published and the store closed itself to further writes
-// (readers keep the last durable state). It wraps ErrClosed so callers
-// that map "store not accepting writes" (e.g. the server's 503) catch
-// both with one errors.Is.
+// ErrWedged is the error of a batch whose WAL append or fsync failed —
+// the epoch was never published and the store closed itself to further
+// writes (readers keep the last durable state) — and of every writer
+// entrance from then on. It wraps ErrClosed so callers that map "store
+// not accepting writes" (e.g. the server's 503) catch both with one
+// errors.Is.
 var ErrWedged = fmt.Errorf("%w: write-ahead log failed", ErrClosed)
 
 // state is one of the two copy-on-write (graph, indexes) instances.
@@ -51,11 +51,42 @@ type Snapshot struct {
 // Release unpins the snapshot.
 func (s *Snapshot) Release() { s.refs.Add(-1) }
 
-// Stats are the store's cumulative update counters.
+// Cut is a pinned consistent view of a whole source: one snapshot per
+// shard, all published by the same commit boundary. A single store's cut
+// is its one snapshot with a nil Vector; a shard router's carries the
+// epoch vector and the node→shard map (see shard.Router.AcquireCut).
+// Release it when done.
+type Cut struct {
+	Snaps []*Snapshot
+	// Epoch is the version the cut pins: the store epoch, or the router's
+	// global sequence number.
+	Epoch uint64
+	// Vector holds the per-shard epochs of a router's cut; nil on a store.
+	Vector []uint64
+	// ShardOf routes a node to the index of its owner in Snaps; nil when
+	// there is a single snapshot.
+	ShardOf func(graph.NodeID) int
+}
+
+// Release unpins every snapshot of the cut.
+func (c *Cut) Release() {
+	for _, s := range c.Snaps {
+		s.Release()
+	}
+}
+
+// Stats is a point-in-time observation of a source: a store's cumulative
+// update counters, or a shard router's — which fills the same counters at
+// the router level plus the fields marked router-only.
 type Stats struct {
 	// Epoch is the currently published epoch (the base epoch when nothing
-	// has been applied).
+	// has been applied); a router's global sequence number.
 	Epoch uint64
+	// Vector is the per-shard epoch vector (router only).
+	Vector []uint64
+	// Nodes and Edges are the live counts at Epoch (on a router the global
+	// ones, each edge counted once, not per replica).
+	Nodes, Edges int64
 	// Applied counts accepted deltas; Batches counts the group commits
 	// that published them. Batches == Applied means no coalescing
 	// happened (serial writers); under concurrent bursts Batches drops
@@ -77,6 +108,16 @@ type Stats struct {
 	// QueueDepth is the number of Apply calls waiting in the group-commit
 	// queue at observation time.
 	QueueDepth int
+	// Wedged reports that a WAL failure (or a diverged replica, or a
+	// panicked commit) barred writes for good; readers keep the last
+	// published epoch. A router is wedged when any shard is.
+	Wedged bool
+	// ShardTxns counts shard write transactions begun (router only): a
+	// batch touching k shards opens k, so ShardTxns/Batches is the mean
+	// commit fan-out — the observable for the participant-only fast path.
+	ShardTxns uint64
+	// Shards holds each shard store's own stats (router only).
+	Shards []Stats
 
 	// Durable reports whether a WAL is attached; the remaining fields are
 	// zero without one. WALOffset is the committed log offset, WALRecords
@@ -146,10 +187,10 @@ type Store struct {
 	mu     sync.Mutex // serializes batch leaders, checkpoint commits and Close
 	ckptMu sync.Mutex // serializes whole Checkpoint calls (writers keep running)
 	closed bool
-	wedged bool       // a WAL failure poisoned the shadow; writes stay barred
-	shadow *state     // instance not backing cur; nil until first Apply
-	prev   *Snapshot  // last snapshot that exposed shadow; drained before reuse
-	lag    []lagEntry // deltas cur's instance has seen but shadow has not
+	wedged atomic.Bool // writes barred for good (see Txn.Wedge); set under mu
+	shadow *state      // instance not backing cur; nil until first Apply
+	prev   *Snapshot   // last snapshot that exposed shadow; drained before reuse
+	lag    []lagEntry  // deltas cur's instance has seen but shadow has not
 
 	dur   *wal.Dir // nil on a non-durable store
 	fsync bool
@@ -268,6 +309,12 @@ func (st *Store) Acquire() *Snapshot {
 	}
 }
 
+// AcquireCut pins the current snapshot as a one-shard cut.
+func (st *Store) AcquireCut() *Cut {
+	s := st.Acquire()
+	return &Cut{Snaps: []*Snapshot{s}, Epoch: s.Epoch}
+}
+
 // Epoch returns the current epoch without pinning.
 func (st *Store) Epoch() uint64 { return st.cur.Load().Epoch }
 
@@ -302,11 +349,16 @@ func (st *Store) signalPublish() {
 // Schema returns the access schema (immutable across epochs).
 func (st *Store) Schema() *access.Schema { return st.cur.Load().Idx.Schema() }
 
-// Result reports one accepted Apply.
+// Result reports one accepted Apply, through a store or a shard router.
 type Result struct {
-	// Epoch is the epoch the delta published. Concurrently accepted
-	// deltas may share it (one group commit = one epoch).
+	// Epoch is the epoch the delta published (a router's global sequence
+	// number). Concurrently accepted deltas may share it (one group commit
+	// = one epoch).
 	Epoch uint64
+	// Vector is the per-shard epoch vector after the commit (router only).
+	// A shard the batch did not touch keeps its previous epoch — entries
+	// are the epochs a consistent cut at Epoch pins.
+	Vector []uint64
 	// NewIDs are the node IDs assigned to the delta's AddNodes.
 	NewIDs []graph.NodeID
 	// TouchedRows counts the rows whose adjacency the delta changed
@@ -315,8 +367,12 @@ type Result struct {
 	TouchedRows int
 	// LogOffset is the WAL offset the delta's record ends at — the
 	// update is durable once the log is synced through it. Zero on a
-	// store without a WAL.
+	// store without a WAL, and through a router.
 	LogOffset int64
+	// ShardLogOffsets holds, per shard, the WAL offset this delta's
+	// envelope record ends at (router only; 0 for shards the delta did
+	// not touch, and everywhere on an in-memory router).
+	ShardLogOffsets []int64
 }
 
 // Apply applies d atomically and publishes it in the next epoch. On
@@ -346,122 +402,54 @@ func (st *Store) Apply(d *graph.Delta) (Result, error) {
 // lead runs the leader election: every queued caller contends for the
 // writer lock; the winner commits the whole queue (possibly including
 // requests that arrived after its own). Losers find an empty queue and
-// just wait. The lock is released by defer so a panic inside a commit
-// (an invariant violation) cannot leave the store deadlocked —
-// commitBatch's own guard fails the batch's waiters before the panic
-// propagates.
+// just wait.
 func (st *Store) lead() {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.qmu.Lock()
 	batch := st.queue
 	st.queue = nil
 	st.qmu.Unlock()
-	if len(batch) > 0 {
-		st.commitBatch(batch)
+	if len(batch) == 0 {
+		st.mu.Unlock()
+		return
 	}
+	st.commitBatch(&Txn{st: st}, batch)
 }
 
-// commitBatch runs one group commit under st.mu: per-delta transactional
-// apply on the shadow instance, WAL append + one fsync, one CSR refresh,
-// one published epoch. Every request's done channel is closed before
-// returning.
-func (st *Store) commitBatch(batch []*commitReq) {
-	settled := false
-	var wlog *wal.Log
-	var pre wal.LogStats
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		// A panic mid-commit is an invariant violation (diverged lag
-		// replay, poisoned maintenance): the epoch never published and
-		// the shadow instance is suspect, so bar further writes, rewind
-		// any records this batch already appended (the callers are about
-		// to be told it failed), and fail the waiters instead of
-		// stranding them — then let the panic propagate (lead's deferred
-		// unlock releases the writer lock).
-		st.closed = true
-		st.wedged = true
-		if wlog != nil {
-			_ = wlog.Rewind(pre)
-		}
-		if !settled {
-			for _, req := range batch {
-				if req.err == nil {
-					req.err = fmt.Errorf("store: commit panicked: %v", r)
-				}
-				close(req.done)
-			}
-		}
-		panic(r)
-	}()
-	finish := func() {
-		settled = true
+// commitBatch runs one group commit through t, whose writer lock the
+// leader already holds: every request staged with its own accept/reject
+// verdict, then one log step, one published epoch. Every request's done
+// channel is closed before returning, and t has ended.
+func (st *Store) commitBatch(t *Txn, batch []*commitReq) {
+	// settle wakes the batch; a non-nil err fails every request that has
+	// no verdict of its own yet.
+	settle := func(err error) {
 		for _, r := range batch {
+			if err != nil && r.err == nil {
+				r.res, r.err = Result{}, err
+			}
 			close(r.done)
 		}
 	}
-	if st.closed {
-		for _, r := range batch {
-			r.err = ErrClosed
+	defer func() {
+		if p := recover(); p != nil {
+			// The epoch never published: wedge (rewinding what the batch
+			// appended and releasing the lock) and fail the waiters instead
+			// of stranding them, then let the panic propagate.
+			_ = t.Wedge()
+			settle(fmt.Errorf("store: commit panicked: %v", p))
+			panic(p)
 		}
-		finish()
+	}()
+	if err := t.begin(); err != nil {
+		settle(err)
 		return
 	}
-	started := time.Now()
-	cur := st.cur.Load()
-	if st.shadow == nil {
-		// First update ever: materialize the second instance.
-		st.shadow = &state{g: cur.G.Clone(), idx: cur.Idx.Clone()}
-	}
-	// The shadow instance may still be pinned by readers of the epoch that
-	// last exposed it; they must drain before we mutate under them.
-	st.waitDrained(st.prev)
-	st.prev = nil
-	for _, ld := range st.lag {
-		// Catch the shadow up with the deltas the published instance has
-		// already absorbed. They were accepted there, and the instances
-		// were identical before them, so they must replay cleanly.
-		if err := st.shadow.idx.ReplayDelta(st.shadow.g, ld.d, ld.rows); err != nil {
-			panic("store: lag replay diverged: " + err.Error())
-		}
-	}
-	st.lag = nil
-
-	epoch := cur.Epoch + 1
+	epoch := t.cur.Epoch + 1
 	var accepted []*commitReq
-	var acceptedLag []lagEntry
-	var rows []graph.NodeID
-	var labels []graph.Label
 	for _, req := range batch {
-		// Resolve any staged label names under the writer lock — the only
-		// place interner growth is serialized. Novel labels commit into
-		// the interner only if this delta is accepted below; a rejected
-		// delta rolls back to its staged form and leaks nothing.
-		commitLabels, rollbackLabels, err := req.d.ResolveLabels(st.shadow.g.Interner())
+		res, err := t.stageLocal(req.d)
 		if err != nil {
-			st.rejErr.Add(1)
-			req.err = err
-			continue
-		}
-		// Labels of nodes this delta inserts or deletes, for the change
-		// ring: type-1 index entries shift on exactly these. Deleted
-		// labels must be read before the apply tears the nodes down; the
-		// shadow already holds every earlier delta of the batch.
-		var reqLabels []graph.Label
-		for _, sp := range req.d.AddNodes {
-			reqLabels = append(reqLabels, sp.Label)
-		}
-		for _, v := range req.d.DelNodes {
-			if st.shadow.g.Contains(v) {
-				reqLabels = append(reqLabels, st.shadow.g.LabelOf(v))
-			}
-		}
-		res, err := st.shadow.idx.ApplyDeltaTx(st.shadow.g, req.d)
-		if err != nil {
-			rollbackLabels()
 			var verr *access.ViolationError
 			if errors.As(err, &verr) {
 				st.rejViol.Add(1)
@@ -471,124 +459,41 @@ func (st *Store) commitBatch(batch []*commitReq) {
 			req.err = err
 			continue
 		}
-		commitLabels()
 		req.res = Result{Epoch: epoch, NewIDs: res.NewIDs, TouchedRows: len(res.Touched)}
-		rows = append(rows, res.Touched...) // Touched includes the new IDs
-		labels = append(labels, reqLabels...)
 		accepted = append(accepted, req)
-		// Keep a private copy for the lag replay and the log: the caller
-		// is free to reuse or mutate d after Apply returns, and both must
-		// reproduce the exact delta the published instance absorbed.
-		acceptedLag = append(acceptedLag, lagEntry{d: req.d.Clone(), rows: st.lagRows(res.Touched)})
 	}
 	if len(accepted) == 0 {
 		// Nothing survived: no epoch, no log records, published state
 		// untouched. The shadow is still clean (every reject reverted).
-		finish()
+		t.Abort()
+		settle(nil)
 		return
 	}
-
-	if st.dur != nil {
-		// Durability point: append every accepted delta, then fsync once
-		// for the whole batch. Only after the log has them may the epoch
-		// become visible — crash recovery replays exactly these records.
-		wlog = st.dur.Log()
-		pre = wlog.Stats()
-		for i, req := range accepted {
-			if st.hookAppend != nil {
-				if err := st.hookAppend(i); err != nil {
-					settled = true
-					st.wedge(batch, err, wlog, pre)
-					return
-				}
-			}
-			off, err := wlog.Append(epoch, acceptedLag[i].d)
-			if err != nil {
-				settled = true
-				st.wedge(batch, err, wlog, pre)
-				return
-			}
-			req.res.LogOffset = off
-		}
-		if st.fsync {
-			if err := wlog.Sync(); err != nil {
-				settled = true
-				st.wedge(batch, err, wlog, pre)
-				return
-			}
-		}
+	// Durability point: only after the log has the batch may the epoch
+	// become visible — crash recovery replays exactly these records.
+	offs, err := t.Log(epoch)
+	if err != nil {
+		settle(WedgeError(err, t.Wedge()))
+		return
 	}
-
-	if st.clog != nil {
-		// Record the FULL row set (pre-ownership-filter: non-owned stub
-		// rows still carry adjacency a footprint may have read), before
-		// the epoch becomes visible — so ChangedSince always covers
-		// through at least the published epoch and a revalidation racing
-		// this publication can never promote across an unrecorded span.
-		st.clog.Record(epoch, nil, rows, labels)
+	for i, req := range accepted {
+		req.res.LogOffset = offs[i]
 	}
-	nrows := len(rows)
-	if st.ownRow != nil {
-		kept := rows[:0]
-		for _, v := range rows {
-			if st.ownRow(v) {
-				kept = append(kept, v)
-			}
-		}
-		rows = kept
-	}
-	next := &Snapshot{
-		G:     st.shadow.g,
-		Fz:    cur.Fz.Refresh(st.shadow.g, rows),
-		Idx:   st.shadow.idx,
-		Epoch: epoch,
-		st:    st.shadow,
-	}
-	st.cur.Store(next)
-	st.signalPublish()
-	if wlog != nil {
-		// The epoch is visible: its records are immutable history now.
-		// Advance the log's published offset so a replication stream may
-		// serve them (appends are quiesced under st.mu, so Stats().Offset
-		// is exactly the end of this batch's records).
-		wlog.PublishTo(wlog.Stats().Offset)
-	}
-	wlog = nil // published: the batch's records are committed, never rewound
-	cur.retired.Store(true)
-	st.prev = cur
-	st.shadow = cur.st
-	st.lag = acceptedLag
-
-	st.applied.Add(uint64(len(accepted)))
-	st.batches.Add(1)
-	st.touched.Add(uint64(nrows))
-	st.lastApplyNS.Store(time.Since(started).Nanoseconds())
-	finish()
+	t.Commit(epoch)
+	settle(nil)
 }
 
-// wedge handles a WAL append/sync failure: the batch errors with
-// ErrWedged, the epoch is never published (the mutated shadow instance
-// stays invisible and is abandoned), and the store refuses further
-// writes — readers keep the last durable epoch. Records the batch
-// already appended are rewound out of the log, so a later recovery
-// cannot replay updates whose callers were told they did not commit.
-// Called with st.mu held; closes every done channel.
-func (st *Store) wedge(batch []*commitReq, cause error, l *wal.Log, pre wal.LogStats) {
-	st.closed = true
-	st.wedged = true
-	rewindNote := ""
-	if err := l.Rewind(pre); err != nil {
-		// The orphan records stay; tell the callers a restart may
-		// resurrect the batch they were just told failed.
-		rewindNote = fmt.Sprintf(" (log rewind also failed: %v; recovery may replay this batch)", err)
+// refuse reports why the store takes no writes — ErrWedged once wedged,
+// ErrClosed after Close, nil while open. Every writer entrance (Apply,
+// BeginTxn, ApplyReplicated, ResetReplicated) asks it under st.mu.
+func (st *Store) refuse() error {
+	switch {
+	case st.wedged.Load():
+		return ErrWedged
+	case st.closed:
+		return ErrClosed
 	}
-	for _, r := range batch {
-		if r.err == nil {
-			r.err = fmt.Errorf("%w; update not committed: %v%s", ErrWedged, cause, rewindNote)
-			r.res = Result{} // drop any LogOffset from a partial append
-		}
-		close(r.done)
-	}
+	return nil
 }
 
 // waitDrained blocks until no reader pins s. s is already retired, so no
@@ -644,10 +549,7 @@ func (st *Store) Checkpoint() error {
 	st.ckptMu.Lock()
 	defer st.ckptMu.Unlock()
 	for attempt := 0; attempt < 3; attempt++ {
-		st.mu.Lock()
-		wedged := st.wedged
-		st.mu.Unlock()
-		if wedged {
+		if st.wedged.Load() {
 			return errWedgedCheckpoint
 		}
 		snap := st.Acquire()
@@ -672,7 +574,7 @@ func (st *Store) Checkpoint() error {
 			return err
 		}
 		st.mu.Lock()
-		if st.wedged {
+		if st.wedged.Load() {
 			st.mu.Unlock()
 			pend.Discard()
 			return errWedgedCheckpoint
@@ -692,7 +594,7 @@ func (st *Store) Checkpoint() error {
 	// writer lock, the pre-refactor behavior, for guaranteed progress.
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.wedged {
+	if st.wedged.Load() {
 		return errWedgedCheckpoint
 	}
 	snap := st.cur.Load()
@@ -733,7 +635,7 @@ func (st *Store) commitCheckpointLocked(pend *wal.PendingCheckpoint) error {
 			// the published state; a restart resolves into whichever
 			// manifest the disk actually holds.
 			st.closed = true
-			st.wedged = true
+			st.wedged.Store(true)
 		}
 		return err
 	}
@@ -760,14 +662,18 @@ func (st *Store) Close() {
 func (st *Store) Wedge() {
 	st.mu.Lock()
 	st.closed = true
-	st.wedged = true
+	st.wedged.Store(true)
 	st.mu.Unlock()
 }
 
 // Stats returns a snapshot of the store's cumulative counters.
 func (st *Store) Stats() Stats {
+	snap := st.Acquire()
 	s := Stats{
-		Epoch:             st.Epoch(),
+		Epoch:             snap.Epoch,
+		Nodes:             int64(snap.G.NumNodes()),
+		Edges:             int64(snap.G.NumEdges()),
+		Wedged:            st.wedged.Load(),
 		Applied:           st.applied.Load(),
 		Batches:           st.batches.Load(),
 		RejectedViolation: st.rejViol.Load(),
@@ -775,6 +681,7 @@ func (st *Store) Stats() Stats {
 		TouchedRows:       st.touched.Load(),
 		LastApplyNS:       st.lastApplyNS.Load(),
 	}
+	snap.Release()
 	st.qmu.Lock()
 	s.QueueDepth = len(st.queue)
 	st.qmu.Unlock()
