@@ -426,9 +426,10 @@ func assertIndexesMatchRebuild(t *testing.T, g *graph.Graph, schema *Schema, set
 			t.Fatalf("constraint %d: entries %d vs rebuild %d", i, a.NumEntries(), b.NumEntries())
 		}
 		for key, want := range b.entries {
-			got := a.entries[key].membersOrNil()
-			if !sameIDSet(got, want.members) {
-				t.Fatalf("constraint %d key %q: %v vs rebuild %v", i, key, got, want)
+			// Compare by VS tuple: an |S| > 2 key is a per-instance intern ID.
+			vs := b.tupleOf(key, nil)
+			if got := a.Lookup(vs); !sameIDSet(got, want.members) {
+				t.Fatalf("constraint %d tuple %v: %v vs rebuild %v", i, vs, got, want.members)
 			}
 		}
 	}
@@ -476,7 +477,7 @@ func TestIndexMatchesBruteForceProperty(t *testing.T) {
 		c := MustNew(s, l, 1000)
 		x := BuildIndex(g, c)
 		for key, entry := range x.entries {
-			vs := decodeKey(key)
+			vs := x.tupleOf(key, nil)
 			want := g.CommonNeighbors(vs, l)
 			if !sameIDSet(entry.members, want) {
 				t.Logf("seed %d: constraint %v key %v: %v vs %v", seed, c, vs, entry, want)
@@ -558,29 +559,4 @@ func TestApplyDeltaEqualsRebuildProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// decodeKey inverts encodeKey for tests.
-func decodeKey(key string) []graph.NodeID {
-	var out []graph.NodeID
-	b := []byte(key)
-	for len(b) > 0 {
-		v, n := uvarint(b)
-		out = append(out, graph.NodeID(v))
-		b = b[n:]
-	}
-	return out
-}
-
-func uvarint(b []byte) (uint64, int) {
-	var x uint64
-	var s uint
-	for i, c := range b {
-		if c < 0x80 {
-			return x | uint64(c)<<s, i + 1
-		}
-		x |= uint64(c&0x7f) << s
-		s += 7
-	}
-	return 0, len(b)
 }

@@ -3,7 +3,9 @@ package access
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -18,24 +20,29 @@ import (
 type Index struct {
 	c Constraint
 
-	// entries maps the encoded sorted node IDs of VS to the entry holding
-	// the common l-labeled neighbors of VS. For type-1 constraints the
-	// single key is the empty string and the entry lists all l-labeled
-	// nodes. Entries live behind a pointer so the maintenance hot path can
-	// grow a member list without re-assigning the map slot, and the entry
-	// carries its canonical key string so the reverse maps register it
-	// without re-allocating one per insert.
-	entries map[string]*indexEntry
+	// entries maps the key of VS (see keyOf) to the entry holding the
+	// common l-labeled neighbors of VS. For type-1 constraints the single
+	// key is 0 and the entry lists all l-labeled nodes. Entries live behind
+	// a pointer so the maintenance hot path can grow a member list without
+	// re-assigning the map slot.
+	entries map[uint64]*indexEntry
 
 	// memberKeys is the reverse map: for each l-labeled node, the entry
 	// keys it appears in. It powers incremental maintenance.
-	memberKeys map[graph.NodeID]map[string]struct{}
+	memberKeys map[graph.NodeID]map[uint64]struct{}
 
 	// vsKeys is the reverse map on the key side: for each S-labeled node,
 	// the entry keys whose VS tuple contains it. It lets a node deletion
 	// purge exactly the entries keyed through the node — O(affected
 	// entries) instead of re-deriving every neighbor's full row.
-	vsKeys map[graph.NodeID]map[string]struct{}
+	vsKeys map[graph.NodeID]map[uint64]struct{}
+
+	// tupleIDs interns the varint-encoded sorted VS tuples of an index
+	// with |S| > 2, whose tuples do not pack into one word; nil otherwise.
+	// nextTuple is the last ID handed out (IDs are never reused, so a
+	// stale ID can never alias a live tuple).
+	tupleIDs  map[string]uint64
+	nextTuple uint64
 
 	// addRow scratch, reused across calls. Index maintenance is
 	// single-writer (it runs under the store's writer lock) and readers
@@ -43,30 +50,97 @@ type Index struct {
 	scrGroups  [][]graph.NodeID
 	scrOdo     []int
 	scrCombo   []graph.NodeID
-	scrSorted  []graph.NodeID
-	scrKey     []byte
-	scrEmptied []string
+	scrTuple   []graph.NodeID
+	scrEmptied []uint64
 }
 
-// indexEntry is one materialized entry: the canonical interned key plus
-// the ascending member list.
+// indexEntry is one materialized entry: the ascending member list, plus,
+// on an index with |S| > 2, the interned tuple its key stands for.
 type indexEntry struct {
-	key     string
 	members []graph.NodeID
+	tuple   string
 }
 
 // Constraint returns the constraint this index serves.
 func (x *Index) Constraint() Constraint { return x.c }
 
-// encodeKey canonicalizes VS as a sorted node-ID tuple.
-func encodeKey(vs []graph.NodeID) string {
-	sorted := append([]graph.NodeID(nil), vs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	buf := make([]byte, 0, len(sorted)*3)
+// keyOf maps the VS tuple vs (any order, len(vs) == |S|) to its entry key:
+// 0 for |S| = 0, the node ID for |S| = 1, the sorted pair packed like a
+// graph edge (graph.PackEdge(min, max)) for |S| = 2, and the tuple's intern
+// ID for |S| > 2. Only there can ok be false: the tuple was never
+// interned, so no entry exists. With intern set (writers only) a fresh
+// tuple is interned instead; the returned string is then the interned
+// encoding, and it is non-empty only when this call created it.
+func (x *Index) keyOf(vs []graph.NodeID, intern bool) (key uint64, fresh string, ok bool) {
+	switch len(x.c.S) {
+	case 0:
+		return 0, "", true
+	case 1:
+		return uint64(vs[0]), "", true
+	case 2:
+		a, b := vs[0], vs[1]
+		if a > b {
+			a, b = b, a
+		}
+		return graph.PackEdge(a, b), "", true
+	}
+	var buf [8 * binary.MaxVarintLen64]byte
+	enc := appendTuple(buf[:0], vs)
+	if key, ok = x.tupleIDs[string(enc)]; ok || !intern {
+		return key, "", ok
+	}
+	x.nextTuple++
+	fresh = string(enc)
+	x.tupleIDs[fresh] = x.nextTuple
+	return x.nextTuple, fresh, true
+}
+
+// tupleOf inverts keyOf for a materialized entry's key, appending the
+// entry's VS tuple (ascending) to dst.
+func (x *Index) tupleOf(key uint64, dst []graph.NodeID) []graph.NodeID {
+	switch len(x.c.S) {
+	case 0:
+		return dst
+	case 1:
+		return append(dst, graph.NodeID(key))
+	case 2:
+		a, b := graph.UnpackEdge(key)
+		return append(dst, a, b)
+	}
+	return decodeTuple(x.entries[key].tuple, dst)
+}
+
+// appendTuple appends the canonical encoding of vs — its node IDs sorted
+// ascending, each as a uvarint — to buf. It is the on-disk order of index
+// entries and the intern key of |S| > 2 tuples.
+func appendTuple(buf []byte, vs []graph.NodeID) []byte {
+	var tuple [8]graph.NodeID
+	sorted := tuple[:0]
+	if len(vs) > len(tuple) {
+		sorted = make([]graph.NodeID, 0, len(vs))
+	}
+	sorted = append(sorted, vs...)
+	slices.Sort(sorted)
 	for _, v := range sorted {
 		buf = binary.AppendUvarint(buf, uint64(v))
 	}
-	return string(buf)
+	return buf
+}
+
+// decodeTuple inverts appendTuple, appending the node IDs to dst.
+func decodeTuple(enc string, dst []graph.NodeID) []graph.NodeID {
+	var v uint64
+	var shift uint
+	for i := 0; i < len(enc); i++ {
+		c := enc[i]
+		v |= uint64(c&0x7f) << shift
+		shift += 7
+		if c < 0x80 {
+			dst = append(dst, graph.NodeID(v))
+			v, shift = 0, 0
+		}
+	}
+	return dst
 }
 
 // BuildIndex constructs the index of constraint c over g. It does not
@@ -80,12 +154,16 @@ func BuildIndex(g *graph.Graph, c Constraint) *Index {
 }
 
 func newIndex(c Constraint) *Index {
-	return &Index{
+	x := &Index{
 		c:          c,
-		entries:    make(map[string]*indexEntry),
-		memberKeys: make(map[graph.NodeID]map[string]struct{}),
-		vsKeys:     make(map[graph.NodeID]map[string]struct{}),
+		entries:    make(map[uint64]*indexEntry),
+		memberKeys: make(map[graph.NodeID]map[uint64]struct{}),
+		vsKeys:     make(map[graph.NodeID]map[uint64]struct{}),
 	}
+	if len(c.S) > 2 {
+		x.tupleIDs = make(map[string]uint64)
+	}
+	return x
 }
 
 // addRow inserts node v (labeled c.L) into every entry whose VS is an
@@ -95,7 +173,7 @@ func newIndex(c Constraint) *Index {
 // scratch buffers and the entries' existing storage.
 func (x *Index) addRow(g *graph.Graph, v graph.NodeID) {
 	if x.c.Type1() {
-		x.insert("", nil, v)
+		x.insert(nil, v)
 		return
 	}
 	// Group v's neighbors by the labels of S.
@@ -130,7 +208,7 @@ func (x *Index) addRow(g *graph.Graph, v graph.NodeID) {
 		combo[i] = groups[i][0]
 	}
 	for {
-		x.insertHot(combo, v)
+		x.insert(combo, v)
 		i := k - 1
 		for ; i >= 0; i-- {
 			if odo[i]++; odo[i] < len(groups[i]) {
@@ -146,47 +224,9 @@ func (x *Index) addRow(g *graph.Graph, v graph.NodeID) {
 	}
 }
 
-// insertHot adds v to the entry of the VS tuple combo, encoding the key
-// into scratch so the lookup is allocation-free; the key string is
-// materialized only when the entry does not exist yet.
-func (x *Index) insertHot(combo []graph.NodeID, v graph.NodeID) {
-	sorted := append(x.scrSorted[:0], combo...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	buf := x.scrKey[:0]
-	for _, u := range sorted {
-		buf = binary.AppendUvarint(buf, uint64(u))
-	}
-	x.scrSorted, x.scrKey = sorted, buf
-	e, ok := x.entries[string(buf)] // no-copy map probe
-	if !ok {
-		key := string(buf)
-		e = &indexEntry{key: key}
-		x.entries[key] = e
-		for _, u := range combo {
-			ks, ok := x.vsKeys[u]
-			if !ok {
-				ks = make(map[string]struct{})
-				x.vsKeys[u] = ks
-			}
-			ks[key] = struct{}{}
-		}
-	}
-	e.add(v)
-	ks, ok := x.memberKeys[v]
-	if !ok {
-		ks = make(map[string]struct{})
-		x.memberKeys[v] = ks
-	}
-	ks[e.key] = struct{}{}
-}
-
-// insert adds v to the entry of key. vs is the entry's VS tuple (any
-// order; nil for type-1), consulted only when the entry is created to
-// register the key under its tuple nodes.
+// insert adds v to the entry of the VS tuple vs (any order; nil for
+// type-1), creating the entry — and registering its key under the tuple's
+// nodes — when it does not exist yet.
 //
 // Entries are kept in ascending node-ID order. That canonical order is
 // what makes sharded execution bit-identical to unsharded: a shard holds
@@ -194,27 +234,38 @@ func (x *Index) insertHot(combo []graph.NodeID, v graph.NodeID) {
 // k-way merge of the shard subsequences reproduces the unsharded entry
 // exactly, for any shard count. (The on-disk snapshot codec already
 // writes members sorted, so this changes no persisted state.)
-func (x *Index) insert(key string, vs []graph.NodeID, v graph.NodeID) {
+func (x *Index) insert(vs []graph.NodeID, v graph.NodeID) {
+	key, fresh, _ := x.keyOf(vs, true)
 	e, existed := x.entries[key]
 	if !existed {
-		e = &indexEntry{key: key}
+		e = &indexEntry{tuple: fresh}
 		x.entries[key] = e
 		for _, u := range vs {
-			ks, ok := x.vsKeys[u]
-			if !ok {
-				ks = make(map[string]struct{})
-				x.vsKeys[u] = ks
-			}
-			ks[key] = struct{}{}
+			addKey(x.vsKeys, u, key)
 		}
 	}
 	e.add(v)
-	ks, ok := x.memberKeys[v]
+	addKey(x.memberKeys, v, key)
+}
+
+// addKey registers key under node v in a reverse map.
+func addKey(m map[graph.NodeID]map[uint64]struct{}, v graph.NodeID, key uint64) {
+	ks, ok := m[v]
 	if !ok {
-		ks = make(map[string]struct{})
-		x.memberKeys[v] = ks
+		ks = make(map[uint64]struct{})
+		m[v] = ks
 	}
-	ks[e.key] = struct{}{}
+	ks[key] = struct{}{}
+}
+
+// dropKey unregisters key under node v in a reverse map.
+func dropKey(m map[graph.NodeID]map[uint64]struct{}, v graph.NodeID, key uint64) {
+	if ks := m[v]; ks != nil {
+		delete(ks, key)
+		if len(ks) == 0 {
+			delete(m, v)
+		}
+	}
 }
 
 // add inserts v into the entry's ascending member list.
@@ -231,18 +282,17 @@ func (e *indexEntry) add(v graph.NodeID) {
 	}
 }
 
-// dropEntryKey forgets an emptied/purged entry's key registrations on the
-// VS side.
-func (x *Index) dropEntryKey(key string) {
-	delete(x.entries, key)
-	for _, u := range decodeTupleKey(key) {
-		if ks := x.vsKeys[u]; ks != nil {
-			delete(ks, key)
-			if len(ks) == 0 {
-				delete(x.vsKeys, u)
-			}
-		}
+// dropEntryKey forgets an emptied/purged entry and its key registrations
+// on the VS side.
+func (x *Index) dropEntryKey(key uint64) {
+	x.scrTuple = x.tupleOf(key, x.scrTuple[:0])
+	for _, u := range x.scrTuple {
+		dropKey(x.vsKeys, u, key)
 	}
+	if x.tupleIDs != nil {
+		delete(x.tupleIDs, x.entries[key].tuple)
+	}
+	delete(x.entries, key)
 }
 
 // removeRow deletes node v from every entry it appears in, preserving the
@@ -255,11 +305,11 @@ func (x *Index) removeRow(v graph.NodeID) {
 // removeRowKeep removes v from every entry it appears in but defers
 // dropping the entries this empties, appending their keys to dst. The
 // maintenance path re-derives the row right after the removal, and a
-// singleton entry that survives the update keeps its key string, entry
-// struct and reverse-map registrations instead of being dropped and
-// re-allocated on every touch. The caller must settle the returned keys
-// with dropIfEmpty once the row is re-derived.
-func (x *Index) removeRowKeep(v graph.NodeID, dst []string) []string {
+// singleton entry that survives the update keeps its entry struct and
+// reverse-map registrations instead of being dropped and re-allocated on
+// every touch. The caller must settle the returned keys with dropIfEmpty
+// once the row is re-derived.
+func (x *Index) removeRowKeep(v graph.NodeID, dst []uint64) []uint64 {
 	for key := range x.memberKeys[v] {
 		e := x.entries[key]
 		for i, w := range e.members {
@@ -277,7 +327,7 @@ func (x *Index) removeRowKeep(v graph.NodeID, dst []string) []string {
 }
 
 // dropIfEmpty drops the entries of the given keys that are still empty.
-func (x *Index) dropIfEmpty(keys []string) {
+func (x *Index) dropIfEmpty(keys []uint64) {
 	for _, key := range keys {
 		if e := x.entries[key]; e != nil && len(e.members) == 0 {
 			x.dropEntryKey(key)
@@ -296,12 +346,7 @@ func (x *Index) purgeVSNode(c graph.NodeID) {
 	}
 	for key := range keys {
 		for _, w := range x.entries[key].members {
-			if ks := x.memberKeys[w]; ks != nil {
-				delete(ks, key)
-				if len(ks) == 0 {
-					delete(x.memberKeys, w)
-				}
-			}
+			dropKey(x.memberKeys, w, key)
 		}
 		x.dropEntryKey(key)
 	}
@@ -310,32 +355,20 @@ func (x *Index) purgeVSNode(c graph.NodeID) {
 
 // Lookup returns the common l-labeled neighbors of the S-labeled set vs.
 // The order of vs does not matter. The returned slice is shared; do not
-// mutate it. Lookup time is O(len(result)) and allocation-free for
-// |S| <= 8 (the map access through string(buf) does not copy).
+// mutate it. Lookup time is O(len(result)); for |S| <= 2 the probe is one
+// word-keyed map access and allocation-free.
 func (x *Index) Lookup(vs []graph.NodeID) []graph.NodeID {
 	if x.c.Type1() {
-		return x.entries[""].membersOrNil()
+		return x.entries[0].membersOrNil()
 	}
 	if len(vs) != len(x.c.S) {
 		return nil
 	}
-	if len(vs) > 8 {
-		return x.entries[encodeKey(vs)].membersOrNil()
+	key, _, ok := x.keyOf(vs, false)
+	if !ok {
+		return nil
 	}
-	var tuple [8]graph.NodeID
-	n := copy(tuple[:], vs)
-	sorted := tuple[:n]
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	var buf [8 * binary.MaxVarintLen64]byte
-	k := 0
-	for _, v := range sorted {
-		k += binary.PutUvarint(buf[k:], uint64(v))
-	}
-	return x.entries[string(buf[:k])].membersOrNil()
+	return x.entries[key].membersOrNil()
 }
 
 // membersOrNil is the nil-safe member accessor for lookup paths probing
@@ -493,24 +526,21 @@ func (s *IndexSet) SizeNodes() int {
 func (x *Index) clone() *Index {
 	c := &Index{
 		c:          x.c,
-		entries:    make(map[string]*indexEntry, len(x.entries)),
-		memberKeys: make(map[graph.NodeID]map[string]struct{}, len(x.memberKeys)),
-		vsKeys:     make(map[graph.NodeID]map[string]struct{}, len(x.vsKeys)),
+		entries:    make(map[uint64]*indexEntry, len(x.entries)),
+		memberKeys: make(map[graph.NodeID]map[uint64]struct{}, len(x.memberKeys)),
+		vsKeys:     make(map[graph.NodeID]map[uint64]struct{}, len(x.vsKeys)),
+		tupleIDs:   maps.Clone(x.tupleIDs),
+		nextTuple:  x.nextTuple,
 	}
 	for k, e := range x.entries {
-		c.entries[k] = &indexEntry{key: k, members: append([]graph.NodeID(nil), e.members...)}
+		c.entries[k] = &indexEntry{members: slices.Clone(e.members), tuple: e.tuple}
 	}
-	cloneKeys := func(dst map[graph.NodeID]map[string]struct{}, src map[graph.NodeID]map[string]struct{}) {
-		for v, ks := range src {
-			m := make(map[string]struct{}, len(ks))
-			for k := range ks {
-				m[k] = struct{}{}
-			}
-			dst[v] = m
-		}
+	for v, ks := range x.memberKeys {
+		c.memberKeys[v] = maps.Clone(ks)
 	}
-	cloneKeys(c.memberKeys, x.memberKeys)
-	cloneKeys(c.vsKeys, x.vsKeys)
+	for v, ks := range x.vsKeys {
+		c.vsKeys[v] = maps.Clone(ks)
+	}
 	return c
 }
 
@@ -555,11 +585,19 @@ func (s *IndexSet) maintainRows(g *graph.Graph, rows []graph.NodeID) {
 	}
 }
 
-// EntryLen returns the current size of the i-th constraint's entry for
-// key (0 if absent). The shard router sums it across shards to evaluate
-// cardinality bounds against the global entry a row partition splits up.
-func (s *IndexSet) EntryLen(i int, key string) int {
-	return len(s.indexes[i].entries[key].membersOrNil())
+// EntryLen returns the current size of the entry te names (0 if absent).
+// The shard router sums it across shards to evaluate cardinality bounds
+// against the global entry a row partition splits up.
+func (s *IndexSet) EntryLen(te TouchedEntry) int {
+	x := s.indexes[te.CIdx]
+	key := te.Key
+	if te.tuple != "" {
+		var ok bool
+		if key, ok = x.tupleIDs[te.tuple]; !ok {
+			return 0
+		}
+	}
+	return len(x.entries[key].membersOrNil())
 }
 
 // RebindSchema swaps the set's schema for an equivalent one. Recovery
@@ -581,7 +619,7 @@ func (s *IndexSet) RebindSchema(a *Schema) error {
 }
 
 // Split row-partitions the set: member v of every entry goes to shard
-// owner(v), under the same entry key (keys carry global node IDs). Entry
+// owner(v), under the same VS tuple (tuples carry global node IDs). Entry
 // subsequences inherit the ascending order, so a k-way merge of the shard
 // entries reproduces the global entry exactly. Entries with no members on
 // a shard are simply absent there. The schema pointer is shared; callers
@@ -594,11 +632,12 @@ func (s *IndexSet) Split(n int, owner func(graph.NodeID) int) []*IndexSet {
 			parts[p].indexes[i] = newIndex(x.c)
 		}
 	}
+	var vs []graph.NodeID
 	for i, x := range s.indexes {
 		for key, entry := range x.entries {
-			vs := decodeTupleKey(key)
+			vs = x.tupleOf(key, vs[:0])
 			for _, v := range entry.members {
-				parts[owner(v)].indexes[i].insert(key, vs, v)
+				parts[owner(v)].indexes[i].insert(vs, v)
 			}
 		}
 	}

@@ -5,7 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"boundedg/internal/graph"
 )
@@ -46,17 +47,30 @@ func (s *IndexSet) WriteJSON(w io.Writer, in *graph.Interner) error {
 		}
 		js.Schema.Constraints = append(js.Schema.Constraints, jc)
 	}
+	type keyed struct {
+		enc string
+		e   *indexEntry
+	}
+	var vs []graph.NodeID
+	var buf []byte
 	for _, x := range s.indexes {
-		ji := jsonIndex{Entries: make([]jsonEntry, 0, len(x.entries))}
-		keys := make([]string, 0, len(x.entries))
-		for k := range x.entries {
-			keys = append(keys, k)
+		// Entries are written in the byte order of their canonical tuple
+		// encodings (appendTuple), so the file is deterministic and
+		// independent of the in-memory key form.
+		order := make([]keyed, 0, len(x.entries))
+		for k, e := range x.entries {
+			enc := e.tuple
+			if enc == "" {
+				vs = x.tupleOf(k, vs[:0])
+				buf = appendTuple(buf[:0], vs)
+				enc = string(buf)
+			}
+			order = append(order, keyed{enc, e})
 		}
-		sort.Strings(keys) // deterministic output
-		for _, k := range keys {
-			members := append([]graph.NodeID(nil), x.entries[k].members...)
-			sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-			ji.Entries = append(ji.Entries, jsonEntry{VS: decodeTupleKey(k), Members: members})
+		slices.SortFunc(order, func(a, b keyed) int { return strings.Compare(a.enc, b.enc) })
+		ji := jsonIndex{Entries: make([]jsonEntry, 0, len(order))}
+		for _, o := range order {
+			ji.Entries = append(ji.Entries, jsonEntry{VS: decodeTuple(o.enc, nil), Members: slices.Clone(o.e.members)})
 		}
 		js.Indexes = append(js.Indexes, ji)
 	}
@@ -102,40 +116,11 @@ func ReadIndexSet(r io.Reader, in *graph.Interner) (*IndexSet, error) {
 			if len(e.VS) != x.c.Arity() {
 				return nil, fmt.Errorf("access: constraint %d: entry arity %d != |S| %d", i, len(e.VS), x.c.Arity())
 			}
-			key := encodeKey(e.VS)
 			for _, m := range e.Members {
-				x.insert(key, e.VS, m)
+				x.insert(e.VS, m)
 			}
 		}
 		set.indexes[i] = x
 	}
 	return set, nil
-}
-
-// decodeTupleKey inverts encodeKey.
-func decodeTupleKey(key string) []graph.NodeID {
-	var out []graph.NodeID
-	b := []byte(key)
-	for len(b) > 0 {
-		v, n := uvarintBytes(b)
-		if n <= 0 {
-			break
-		}
-		out = append(out, graph.NodeID(v))
-		b = b[n:]
-	}
-	return out
-}
-
-func uvarintBytes(b []byte) (uint64, int) {
-	var x uint64
-	var s uint
-	for i, c := range b {
-		if c < 0x80 {
-			return x | uint64(c)<<s, i + 1
-		}
-		x |= uint64(c&0x7f) << s
-		s += 7
-	}
-	return 0, 0
 }

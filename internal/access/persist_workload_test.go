@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -170,5 +171,35 @@ func TestReadIndexSetReaderError(t *testing.T) {
 	half := buf.Bytes()[:buf.Len()/2]
 	if _, err := access.ReadIndexSet(&errReader{data: half}, d.In); err == nil {
 		t.Fatal("mid-stream read error swallowed")
+	}
+}
+
+// TestIndexBytesMatchGolden pins the on-disk index form: the file was
+// written by the string-keyed index the integer-keyed one replaced, for
+// IMDb at scale 0.005, seed 1. Building the same instance must reproduce
+// it byte for byte, and reading it back must re-encode to the same bytes.
+func TestIndexBytesMatchGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/imdb_small_index.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := workload.IMDb(0.005, 1)
+	encode := func(set *access.IndexSet) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := set.WriteJSON(&buf, d.In); err != nil {
+			t.Fatalf("WriteJSON: %v", err)
+		}
+		return buf.Bytes()
+	}
+	if got := encode(buildWorkloadSet(t, d)); !bytes.Equal(got, golden) {
+		t.Fatalf("WriteJSON differs from the golden file (%d vs %d bytes)", len(got), len(golden))
+	}
+	loaded, err := access.ReadIndexSet(bytes.NewReader(golden), d.In)
+	if err != nil {
+		t.Fatalf("ReadIndexSet(golden): %v", err)
+	}
+	if got := encode(loaded); !bytes.Equal(got, golden) {
+		t.Fatal("golden file does not re-encode byte for byte")
 	}
 }

@@ -129,7 +129,11 @@ func (sd *StagedDelta) Violations() []Violation {
 // entries need a cross-shard size check.
 type TouchedEntry struct {
 	CIdx int
-	Key  string
+	// Key is the entry's key, the same on every shard for |S| <= 2. An
+	// |S| > 2 key is a per-instance intern ID, so there Key is 0 and the
+	// entry is named by its encoded tuple instead.
+	Key   uint64
+	tuple string
 }
 
 // TouchedEntries lists the entries the maintained rows currently belong
@@ -148,12 +152,16 @@ func (sd *StagedDelta) AppendTouchedEntries(dst []TouchedEntry) []TouchedEntry {
 		for _, v := range sd.rows {
 		keys:
 			for key := range x.memberKeys[v] {
+				te := TouchedEntry{CIdx: ci, Key: key}
+				if x.tupleIDs != nil {
+					te = TouchedEntry{CIdx: ci, tuple: x.entries[key].tuple}
+				}
 				for i := range dst {
-					if dst[i].CIdx == ci && dst[i].Key == key {
+					if dst[i] == te {
 						continue keys
 					}
 				}
-				dst = append(dst, TouchedEntry{CIdx: ci, Key: key})
+				dst = append(dst, te)
 			}
 		}
 	}

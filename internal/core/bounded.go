@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"boundedg/internal/access"
 	"boundedg/internal/graph"
@@ -23,7 +23,7 @@ func (p *Plan) EvalSubgraphWith(g *graph.Graph, idx *access.IndexSet, opt match.
 	if err != nil {
 		return nil, nil, err
 	}
-	res := match.VF2WithCandidates(p.Q, bg.G, bg.Cands, opt)
+	res := match.VF2WithCandidatesFrozen(p.Q, bg.G, bg.Fz, bg.Cands, opt)
 	bg.MapSubgraphResult(res)
 	return res, stats, nil
 }
@@ -49,7 +49,7 @@ func (bg *BoundedGraph) MapSimResult(res *match.SimResult) {
 		for i, v := range res.Sim[ui] {
 			mapped[i] = bg.ToOrig[v]
 		}
-		sortNodeIDs(mapped)
+		slices.Sort(mapped)
 		res.Sim[ui] = mapped
 	}
 }
@@ -90,8 +90,4 @@ func BSim(q *pattern.Pattern, g *graph.Graph, idx *access.IndexSet) (*match.SimR
 		return nil, nil, err
 	}
 	return p.EvalSim(g, idx)
-}
-
-func sortNodeIDs(s []graph.NodeID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

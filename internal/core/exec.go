@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"boundedg/internal/access"
@@ -42,6 +43,9 @@ func (s *ExecStats) Accessed() int { return s.NodesAccessed + s.EdgesAccessed }
 type BoundedGraph struct {
 	// G is the fetched subgraph GQ (fresh node IDs).
 	G *graph.Graph
+	// Fz is G's frozen snapshot, built in the same pass and sharing G's
+	// adjacency arrays; matchers take it instead of re-freezing G.
+	Fz *graph.Frozen
 	// Cands[u] lists GQ nodes that are candidate matches for pattern node
 	// u (maximally reduced cmat(u)).
 	Cands [][]graph.NodeID
@@ -104,14 +108,24 @@ type ShardView struct {
 }
 
 // ExecScratch holds the reusable buffers of one plan execution: the
-// per-op dedup set, the per-pattern-node candidate sets, and the dense
-// |V|-sized table mapping source node IDs to GQ IDs. All are restored to
-// their empty state on every exit path of ExecWith, so reuse is O(touched)
-// instead of O(|V|) per query.
+// per-op dedup set, the per-pattern-node candidate lists and sets, the
+// dense |V|-sized table mapping source node IDs to GQ IDs, and the packed
+// GQ edge keys. All are restored to their empty state on every exit path
+// of ExecWith, so reuse is O(touched) instead of O(|V|) per query, and a
+// warm scratch makes the GQ build O(1) allocations whatever its size.
 type ExecScratch struct {
-	seen  *graph.DenseSet
-	csets []*graph.DenseSet
-	remap []int32 // source ID -> GQ ID + 1; 0 = unmapped
+	seen    *graph.DenseSet
+	csets   []*graph.DenseSet
+	remap   []int32           // source ID -> GQ ID + 1; 0 = unmapped
+	cmat    [][]graph.NodeID  // cmat[u]: candidates of pattern node u
+	cset    []*graph.DenseSet // cset[u]: cmat[u] as a set; nil until fetched
+	fetched []bool            // fetched[u]: some op produced cmat[u]
+	refetch []graph.NodeID    // an op's result for an already-fetched node
+	tuple   []graph.NodeID    // the serial enumeration's tuple
+	keys    []uint64          // verified GQ edges, PackEdge(from, to)
+	keyRows []uint64          // keys bucketed by source, for sortEdgeKeys
+	rowEnd  []int32           // per-source bucket bounds, for sortEdgeKeys
+	outs    []shardOut        // per-shard outputs of the parallel branch
 }
 
 // NewExecScratch returns an empty scratch; buffers are grown on first use.
@@ -141,6 +155,56 @@ func (s *ExecScratch) getRemap(idCap int) []int32 {
 		s.remap = make([]int32, idCap)
 	}
 	return s.remap
+}
+
+// sortEdgeKeys sorts and deduplicates keys, packed edges over GQ nodes
+// 0..n-1, in place: the same array slices.Sort + slices.Compact would
+// give, at O(len(keys) + n) instead of O(len(keys) log len(keys)). A
+// counting sort on the source spreads the keys into per-source rows,
+// then each row — a handful of targets — is sorted and compacted back
+// into keys.
+func (s *ExecScratch) sortEdgeKeys(keys []uint64, n int) []uint64 {
+	if cap(s.rowEnd) < n+1 {
+		s.rowEnd = make([]int32, n+1)
+	}
+	if cap(s.keyRows) < len(keys) {
+		s.keyRows = make([]uint64, len(keys))
+	}
+	end, rows := s.rowEnd[:n+1], s.keyRows[:len(keys)]
+	clear(end)
+	for _, k := range keys {
+		end[k>>32+1]++
+	}
+	for v := 1; v <= n; v++ {
+		end[v] += end[v-1]
+	}
+	// end[v] is row v's start; placing advances it to the row's end.
+	for _, k := range keys {
+		rows[end[k>>32]] = k
+		end[k>>32]++
+	}
+	out, lo := keys[:0], int32(0)
+	for _, hi := range end[:n] {
+		row := rows[lo:hi]
+		slices.Sort(row)
+		for i, k := range row {
+			if i == 0 || k != row[i-1] {
+				out = append(out, k)
+			}
+		}
+		lo = hi
+	}
+	return out
+}
+
+// begin sizes the per-pattern-node tables for a pattern of n nodes; they
+// are all empty on entry (release left them so).
+func (s *ExecScratch) begin(n int) {
+	for len(s.cmat) < n {
+		s.cmat = append(s.cmat, nil)
+		s.cset = append(s.cset, nil)
+		s.fetched = append(s.fetched, false)
+	}
 }
 
 // minParallelTuples is the fetch/verification work (index probes or
@@ -243,28 +307,24 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 	// result — the row partition sums back to the global entry, so the
 	// stats are bit-identical to the unsharded run.
 	var (
-		lookup   func(ci int, tuple []graph.NodeID) []graph.NodeID
-		matches  func(u pattern.Node, v graph.NodeID) bool
-		labelOf  func(v graph.NodeID) graph.Label
-		valueOf  func(v graph.NodeID) graph.Value
-		hasEdge  func(from, to graph.NodeID) bool
+		rd       reader
 		interner *graph.Interner
 		idCap    int
 	)
 	if shards == nil {
-		lookup = func(ci int, tuple []graph.NodeID) []graph.NodeID { return idx.Index(ci).Lookup(tuple) }
-		matches = func(u pattern.Node, v graph.NodeID) bool { return p.Q.MatchesNode(u, g, v) }
-		labelOf = g.LabelOf
-		valueOf = g.ValueOf
-		hasEdge = g.HasEdge
+		rd.lookup = func(ci int, tuple []graph.NodeID) []graph.NodeID { return idx.Index(ci).Lookup(tuple) }
+		rd.matches = func(u pattern.Node, v graph.NodeID) bool { return p.Q.MatchesNode(u, g, v) }
+		rd.labelOf = g.LabelOf
+		rd.valueOf = g.ValueOf
+		rd.hasEdge = g.HasEdge
 		if fz != nil {
-			hasEdge = fz.HasEdge
+			rd.hasEdge = fz.HasEdge
 		}
 		interner = g.Interner()
 		idCap = g.Cap()
 	} else {
 		home := func(v graph.NodeID) *ShardView { return &shards[shardOf(v)] }
-		lookup = func(ci int, tuple []graph.NodeID) []graph.NodeID {
+		rd.lookup = func(ci int, tuple []graph.NodeID) []graph.NodeID {
 			// Most entries' rows hash to one shard, so the common probe
 			// finds at most one non-empty part — returned as-is (shared,
 			// not copied) with no slice-of-parts allocation. The parts
@@ -290,10 +350,10 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 			}
 			return mergeAscending(parts)
 		}
-		matches = func(u pattern.Node, v graph.NodeID) bool { return p.Q.MatchesNode(u, home(v).G, v) }
-		labelOf = func(v graph.NodeID) graph.Label { return home(v).G.LabelOf(v) }
-		valueOf = func(v graph.NodeID) graph.Value { return home(v).G.ValueOf(v) }
-		hasEdge = func(from, to graph.NodeID) bool {
+		rd.matches = func(u pattern.Node, v graph.NodeID) bool { return p.Q.MatchesNode(u, home(v).G, v) }
+		rd.labelOf = func(v graph.NodeID) graph.Label { return home(v).G.LabelOf(v) }
+		rd.valueOf = func(v graph.NodeID) graph.Value { return home(v).G.ValueOf(v) }
+		rd.hasEdge = func(from, to graph.NodeID) bool {
 			sv := home(from)
 			if sv.Fz != nil {
 				return sv.Fz.HasEdge(from, to)
@@ -312,13 +372,12 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 	stats := &ExecStats{}
 
 	// cmat[u]: candidate matches for u, as ordered slice + dense set.
-	cmat := make([][]graph.NodeID, n)
-	cset := make([]*graph.DenseSet, n)
-	fetched := make([]bool, n)
+	scratch.begin(n)
+	cmat, cset, fetched := scratch.cmat[:n], scratch.cset[:n], scratch.fetched[:n]
 	seen := scratch.getSeen(idCap) // per-op dedup, sparsely cleared
 
-	// releaseCsets restores the scratch candidate sets to empty; every
-	// exit path must call it (the sets mirror cmat at all times). A
+	// releaseCsets restores the scratch candidate lists and sets to empty;
+	// every exit path must call it (the sets mirror cmat at all times). A
 	// pool-owned scratch goes back only on clean release — a panic drops
 	// it instead of poisoning the pool.
 	releaseCsets := func() {
@@ -326,6 +385,7 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 			if cset[ui] != nil {
 				cset[ui].ResetSparse(cmat[ui])
 			}
+			cmat[ui], cset[ui], fetched[ui] = cmat[ui][:0], nil, false
 		}
 		if fromPool {
 			execScratchPool.Put(scratch)
@@ -347,9 +407,14 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 			releaseCsets()
 			return nil, nil, err
 		}
-		var result []graph.NodeID
+		// A first fetch of op.U collects straight into its scratch list; a
+		// re-fetch collects aside and is intersected into it below.
+		result := cmat[op.U][:0]
+		if fetched[op.U] {
+			result = scratch.refetch[:0]
+		}
 		if op.Deps == nil {
-			vs := lookup(op.CIdx, nil)
+			vs := rd.lookup(op.CIdx, nil)
 			stats.IndexLookups++
 			stats.NodesAccessed += len(vs)
 			chk := strideChecker{ctx: ctx}
@@ -357,7 +422,7 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 				if chk.cancelled() {
 					return nil, nil, cancelFetch(result)
 				}
-				if matches(op.U, v) && seen.Add(v) {
+				if rd.matches(op.U, v) && seen.Add(v) {
 					result = append(result, v)
 				}
 			}
@@ -371,22 +436,11 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 			}
 			// Union of lookups over the product of dependency candidates,
 			// sharded on the first dependency's candidates when large. One
-			// tuple body serves both branches; only the emit differs —
-			// serial dedups straight into result, shards buffer and the
-			// in-order merge dedups.
-			fetchTuple := func(tuple []graph.NodeID, out *shardOut, emit func(graph.NodeID)) {
-				vs := lookup(op.CIdx, tuple)
-				out.lookups++
-				out.accessed += len(vs)
-				for _, v := range vs {
-					if matches(op.U, v) {
-						emit(v)
-					}
-				}
-			}
+			// tuple body serves both branches: serial dedups straight into
+			// result, shards buffer and the in-order merge dedups.
 			if nt := numTuples(cmat, op.Deps); workers > 1 && nt >= minParallelTuples {
-				outs := shardTuples(ctx, cmat, op.Deps, workers, func(tuple []graph.NodeID, out *shardOut) {
-					fetchTuple(tuple, out, func(v graph.NodeID) { out.nodes = append(out.nodes, v) })
+				outs := scratch.shardTuples(ctx, cmat, op.Deps, workers, func(tuple []graph.NodeID, out *shardOut) {
+					rd.fetchTuple(op, tuple, nil, out)
 				})
 				// Check before merging: cancelled shards stopped early, so
 				// their outputs are partial and must be discarded whole.
@@ -404,19 +458,16 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 					}
 				}
 			} else {
-				var out shardOut
+				out := shardOut{nodes: result}
 				chk := strideChecker{ctx: ctx}
-				forEachTuple(cmat, op.Deps, func(tuple []graph.NodeID) bool {
+				scratch.forEachTuple(cmat, op.Deps, func(tuple []graph.NodeID) bool {
 					if chk.cancelled() {
 						return false
 					}
-					fetchTuple(tuple, &out, func(v graph.NodeID) {
-						if seen.Add(v) {
-							result = append(result, v)
-						}
-					})
+					rd.fetchTuple(op, tuple, seen, &out)
 					return true
 				})
+				result = out.nodes
 				if err := ctxErr(); err != nil {
 					return nil, nil, cancelFetch(result)
 				}
@@ -427,6 +478,7 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 		seen.ResetSparse(result)
 		if fetched[op.U] {
 			// Later ops reduce earlier candidate sets (§IV): intersect.
+			scratch.refetch = result
 			old := cset[op.U]
 			reduced := result[:0]
 			for _, v := range result {
@@ -438,7 +490,7 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 			for _, v := range reduced {
 				old.Add(v)
 			}
-			result = reduced
+			result = append(cmat[op.U][:0], reduced...)
 		} else {
 			set := scratch.getCset(int(op.U), idCap)
 			for _, v := range result {
@@ -472,44 +524,48 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 		return nil, nil, err
 	}
 
-	// Build GQ: nodes are the union of candidate sets. Count the distinct
-	// nodes first so the subgraph is allocated at its final size; seen
-	// doubles as the dedup set and is drained again during the build.
-	distinct := 0
+	// Build GQ's nodes: the union of candidate sets, numbered in
+	// first-seen order. Count the distinct nodes first so every array is
+	// allocated at its final size; seen doubles as the dedup set and is
+	// drained again during the numbering.
+	distinct, total := 0, 0
 	for ui := 0; ui < n; ui++ {
+		total += len(cmat[ui])
 		for _, v := range cmat[ui] {
 			if seen.Add(v) {
 				distinct++
 			}
 		}
 	}
-	gq := graph.NewWithCapacity(interner, distinct)
-	bg := &BoundedGraph{G: gq, Cands: make([][]graph.NodeID, n), ToOrig: make([]graph.NodeID, 0, distinct)}
+	bg := &BoundedGraph{Cands: make([][]graph.NodeID, n), ToOrig: make([]graph.NodeID, 0, distinct)}
+	labels := make([]graph.Label, 0, distinct)
+	values := make([]graph.Value, 0, distinct)
+	candIDs := make([]graph.NodeID, 0, total)
 	remap := scratch.getRemap(idCap) // source ID -> GQ ID + 1; all zero here
 	for ui := 0; ui < n; ui++ {
-		cs := make([]graph.NodeID, 0, len(cmat[ui]))
+		lo := len(candIDs)
 		for _, v := range cmat[ui] {
 			rv := remap[v]
 			if rv == 0 {
-				nv := gq.AddNode(labelOf(v), valueOf(v))
-				rv = int32(nv) + 1
+				rv = int32(len(bg.ToOrig)) + 1
 				remap[v] = rv
-				bg.ToOrig = append(bg.ToOrig, v) // nv == len(ToOrig)-1
-				seen.Remove(v)                   // drain: each distinct node exactly once
+				bg.ToOrig = append(bg.ToOrig, v)
+				labels = append(labels, rd.labelOf(v))
+				values = append(values, rd.valueOf(v))
+				seen.Remove(v) // drain: each distinct node exactly once
 			}
-			cs = append(cs, graph.NodeID(rv-1))
+			candIDs = append(candIDs, graph.NodeID(rv-1))
 		}
-		bg.Cands[ui] = cs
+		bg.Cands[ui] = candIDs[lo:len(candIDs):len(candIDs)]
 	}
-	stats.GQNodes = gq.NumNodes()
+	stats.GQNodes = distinct
 	releaseRemap := func() {
 		for _, v := range bg.ToOrig {
 			remap[v] = 0
 		}
 	}
-
 	// cancelVerify abandons the evaluation during edge verification: the
-	// half-built GQ is discarded, the remap table and candidate sets are
+	// verified edges are discarded, the remap table and candidate sets are
 	// restored, and the context's sticky error is returned. seen is empty
 	// throughout this phase (it was drained building GQ), so it needs no
 	// repair here.
@@ -519,7 +575,10 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 		return ctxErr()
 	}
 
-	// Edge verification through the covering constraints' indices.
+	// Edge verification through the covering constraints' indices. Every
+	// verified edge appends its packed GQ key; sorting and compacting the
+	// keys afterwards yields GQ's edge set in CSR order.
+	keys := scratch.keys[:0]
 	for _, ec := range p.EdgeChecks {
 		if err := ctxErr(); err != nil {
 			return nil, nil, cancelVerify()
@@ -536,37 +595,13 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 			releaseCsets()
 			return nil, nil, fmt.Errorf("core: edge check for (%s, %s) misses its endpoint dependency", p.Q.Name(ec.From), p.Q.Name(ec.To))
 		}
-		target := cset[ec.Target]
-		// One tuple body serves both branches; only the emit differs —
-		// serial inserts into GQ directly, shards buffer verified pairs
-		// for the in-order merge.
-		verifyTuple := func(tuple []graph.NodeID, out *shardOut, emit func(vf, vtto graph.NodeID)) {
-			cands := lookup(ec.CIdx, tuple)
-			out.lookups++
-			out.accessed += len(cands)
-			vo := tuple[oi]
-			for _, vt := range cands {
-				if !target.Has(vt) {
-					continue
-				}
-				var vf, vtto graph.NodeID
-				if ec.Target == ec.To {
-					vf, vtto = vo, vt
-				} else {
-					vf, vtto = vt, vo
-				}
-				// The index certifies neighborship; confirm direction on
-				// the fetched pair (an O(1) check).
-				if hasEdge(vf, vtto) {
-					emit(vf, vtto)
-				}
-			}
-		}
+		vc := verifyCheck{ec: ec, oi: oi, target: cset[ec.Target], remap: remap}
+		// One tuple body serves both branches: serial appends to keys
+		// directly, shards to their own buffers, concatenated afterwards.
 		if nt := numTuples(cmat, ec.Deps); workers > 1 && nt >= minParallelTuples {
-			outs := shardTuples(ctx, cmat, ec.Deps, workers, func(tuple []graph.NodeID, out *shardOut) {
-				verifyTuple(tuple, out, func(vf, vtto graph.NodeID) {
-					out.edges = append(out.edges, [2]graph.NodeID{vf, vtto})
-				})
+			shared := vc // the shards' own copy; vc stays on the stack
+			outs := scratch.shardTuples(ctx, cmat, ec.Deps, workers, func(tuple []graph.NodeID, out *shardOut) {
+				rd.verifyTuple(&shared, tuple, out)
 			})
 			if err := ctxErr(); err != nil {
 				return nil, nil, cancelVerify()
@@ -575,22 +610,19 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 				o := &outs[i]
 				stats.IndexLookups += o.lookups
 				stats.EdgesAccessed += o.accessed
-				for _, e := range o.edges {
-					gq.AddEdgeIfAbsent(graph.NodeID(remap[e[0]])-1, graph.NodeID(remap[e[1]])-1)
-				}
+				keys = append(keys, o.edges...)
 			}
 		} else {
-			var out shardOut
+			out := shardOut{edges: keys}
 			chk := strideChecker{ctx: ctx}
-			forEachTuple(cmat, ec.Deps, func(tuple []graph.NodeID) bool {
+			scratch.forEachTuple(cmat, ec.Deps, func(tuple []graph.NodeID) bool {
 				if chk.cancelled() {
 					return false
 				}
-				verifyTuple(tuple, &out, func(vf, vtto graph.NodeID) {
-					gq.AddEdgeIfAbsent(graph.NodeID(remap[vf])-1, graph.NodeID(remap[vtto])-1)
-				})
+				rd.verifyTuple(&vc, tuple, &out)
 				return true
 			})
+			keys = out.edges
 			if err := ctxErr(); err != nil {
 				return nil, nil, cancelVerify()
 			}
@@ -598,10 +630,73 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 			stats.EdgesAccessed += out.accessed
 		}
 	}
-	stats.GQEdges = gq.NumEdges()
+	keys = scratch.sortEdgeKeys(keys, distinct)
+	scratch.keys = keys
+	bg.G, bg.Fz = graph.FromSortedEdges(interner, labels, values, keys)
+	stats.GQEdges = len(keys)
 	releaseRemap()
 	releaseCsets()
 	return bg, stats, nil
+}
+
+// reader is ExecWith's access to the data. All graph and index reads go
+// through it, so the serial and scattered paths share one evaluation loop.
+type reader struct {
+	lookup  func(ci int, tuple []graph.NodeID) []graph.NodeID
+	matches func(u pattern.Node, v graph.NodeID) bool
+	labelOf func(v graph.NodeID) graph.Label
+	valueOf func(v graph.NodeID) graph.Value
+	hasEdge func(from, to graph.NodeID) bool
+}
+
+// fetchTuple is one fetch-phase probe: the members of tuple's entry under
+// op's constraint that match op's pattern node are appended to out.nodes —
+// all of them, or, with seen non-nil, the ones seen admits.
+func (rd *reader) fetchTuple(op FetchOp, tuple []graph.NodeID, seen *graph.DenseSet, out *shardOut) {
+	vs := rd.lookup(op.CIdx, tuple)
+	out.lookups++
+	out.accessed += len(vs)
+	for _, v := range vs {
+		if rd.matches(op.U, v) && (seen == nil || seen.Add(v)) {
+			out.nodes = append(out.nodes, v)
+		}
+	}
+}
+
+// verifyCheck is one edge check's state during verification: oi is the
+// position of the check's other endpoint in its dependency tuple, target
+// the candidate set of its target endpoint, remap the source-to-GQ ID
+// table.
+type verifyCheck struct {
+	ec     EdgeCheck
+	oi     int
+	target *graph.DenseSet
+	remap  []int32
+}
+
+// verifyTuple is one verification-phase probe: every member of tuple's
+// entry that is a target candidate and, with the tuple's other endpoint,
+// forms a real edge in the check's direction has that edge's packed GQ
+// key appended to out.edges.
+func (rd *reader) verifyTuple(vc *verifyCheck, tuple []graph.NodeID, out *shardOut) {
+	cands := rd.lookup(vc.ec.CIdx, tuple)
+	out.lookups++
+	out.accessed += len(cands)
+	vo := tuple[vc.oi]
+	for _, vt := range cands {
+		if !vc.target.Has(vt) {
+			continue
+		}
+		vf, vtto := vt, vo
+		if vc.ec.Target == vc.ec.To {
+			vf, vtto = vo, vt
+		}
+		// The index certifies neighborship; confirm direction on the
+		// fetched pair (an O(1) check).
+		if rd.hasEdge(vf, vtto) {
+			out.edges = append(out.edges, graph.PackEdge(graph.NodeID(vc.remap[vf]-1), graph.NodeID(vc.remap[vtto]-1)))
+		}
+	}
 }
 
 // mergeAscending merges ascending, pairwise-disjoint node-ID slices into
@@ -652,10 +747,10 @@ func numTuples(cmat [][]graph.NodeID, deps []pattern.Node) int {
 }
 
 // shardOut is one shard's contribution to a fetch or verification phase,
-// in enumeration order.
+// in enumeration order. edges holds packed GQ edge keys.
 type shardOut struct {
 	nodes             []graph.NodeID
-	edges             [][2]graph.NodeID
+	edges             []uint64
 	lookups, accessed int
 }
 
@@ -663,16 +758,17 @@ type shardOut struct {
 // contiguous chunks of the first dependency's candidates, runs process on
 // up to workers goroutines, and returns the per-chunk outputs in
 // enumeration order — so concatenating them reproduces the serial order
-// exactly. A non-nil ctx is polled inside every shard; cancelled shards
+// exactly. The outputs reuse the scratch's buffers and are valid until the
+// next call. A non-nil ctx is polled inside every shard; cancelled shards
 // stop early, leaving partial outputs the caller must discard (check the
 // context after shardTuples returns).
-func shardTuples(ctx context.Context, cmat [][]graph.NodeID, deps []pattern.Node, workers int, process func([]graph.NodeID, *shardOut)) []shardOut {
+func (s *ExecScratch) shardTuples(ctx context.Context, cmat [][]graph.NodeID, deps []pattern.Node, workers int, process func([]graph.NodeID, *shardOut)) []shardOut {
 	first := cmat[deps[0]]
-	nchunks := workers
-	if nchunks > len(first) {
-		nchunks = len(first)
+	nchunks := min(workers, len(first))
+	for len(s.outs) < nchunks {
+		s.outs = append(s.outs, shardOut{})
 	}
-	outs := make([]shardOut, nchunks)
+	outs := s.outs[:nchunks]
 	var wg sync.WaitGroup
 	for c := 0; c < nchunks; c++ {
 		lo, hi := c*len(first)/nchunks, (c+1)*len(first)/nchunks
@@ -681,9 +777,9 @@ func shardTuples(ctx context.Context, cmat [][]graph.NodeID, deps []pattern.Node
 			defer wg.Done()
 			// Accumulate locally; one store at the end keeps shards off
 			// each other's cache lines.
-			var local shardOut
+			local := shardOut{nodes: outs[c].nodes[:0], edges: outs[c].edges[:0]}
 			chk := strideChecker{ctx: ctx}
-			forEachTupleRange(cmat, deps, lo, hi, func(tuple []graph.NodeID) bool {
+			forEachTupleRange(cmat, deps, lo, hi, make([]graph.NodeID, len(deps)), func(tuple []graph.NodeID) bool {
 				if chk.cancelled() {
 					return false
 				}
@@ -698,37 +794,54 @@ func shardTuples(ctx context.Context, cmat [][]graph.NodeID, deps []pattern.Node
 }
 
 // forEachTuple enumerates the cartesian product of the candidate sets of
-// deps, invoking fn with a reused tuple slice (one node per dep, in dep
-// order). fn returning false stops the enumeration.
-func forEachTuple(cmat [][]graph.NodeID, deps []pattern.Node, fn func([]graph.NodeID) bool) {
+// deps, invoking fn with the scratch's reused tuple slice (one node per
+// dep, in dep order). fn returning false stops the enumeration.
+func (s *ExecScratch) forEachTuple(cmat [][]graph.NodeID, deps []pattern.Node, fn func([]graph.NodeID) bool) {
 	if len(deps) == 0 {
 		fn(nil)
 		return
 	}
-	forEachTupleRange(cmat, deps, 0, len(cmat[deps[0]]), fn)
+	if cap(s.tuple) < len(deps) {
+		s.tuple = make([]graph.NodeID, len(deps))
+	}
+	forEachTupleRange(cmat, deps, 0, len(cmat[deps[0]]), s.tuple[:len(deps)], fn)
 }
 
 // forEachTupleRange is forEachTuple with the first dependency's candidates
-// restricted to the index range [lo, hi).
-func forEachTupleRange(cmat [][]graph.NodeID, deps []pattern.Node, lo, hi int, fn func([]graph.NodeID) bool) {
-	tuple := make([]graph.NodeID, len(deps))
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(deps) {
-			return fn(tuple)
-		}
-		for _, v := range cmat[deps[i]] {
-			tuple[i] = v
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		return true
+// restricted to the index range [lo, hi), filling the caller's tuple
+// buffer (len(deps) long). It walks the product as an odometer, last
+// dependency fastest.
+func forEachTupleRange(cmat [][]graph.NodeID, deps []pattern.Node, lo, hi int, tuple []graph.NodeID, fn func([]graph.NodeID) bool) {
+	if lo >= hi {
+		return
 	}
-	for _, v := range cmat[deps[0]][lo:hi] {
-		tuple[0] = v
-		if !rec(1) {
+	var odoBuf [8]int
+	odo := odoBuf[:0]
+	if len(deps) > len(odoBuf) {
+		odo = make([]int, 0, len(deps))
+	}
+	for i, d := range deps {
+		if len(cmat[d]) == 0 {
 			return
 		}
+		odo = append(odo, 0)
+		tuple[i] = cmat[d][0]
+	}
+	odo[0], tuple[0] = lo, cmat[deps[0]][lo]
+	for fn(tuple) {
+		i := len(deps) - 1
+		for ; i > 0; i-- {
+			if odo[i]++; odo[i] < len(cmat[deps[i]]) {
+				break
+			}
+			odo[i] = 0
+			tuple[i] = cmat[deps[i]][0]
+		}
+		if i == 0 {
+			if odo[0]++; odo[0] >= hi {
+				return
+			}
+		}
+		tuple[i] = cmat[deps[i]][odo[i]]
 	}
 }

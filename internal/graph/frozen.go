@@ -80,6 +80,99 @@ func buildCSR(adj [][]NodeID) ([]int32, []NodeID) {
 	return start, flat
 }
 
+// FromSortedEdges builds the graph over nodes 0..len(labels)-1 — node v
+// labeled labels[v] (never NoLabel) and valued values[v] — whose edge set
+// is keys, PackEdge keys in strictly ascending order. It takes ownership
+// of labels and values and returns the graph together with its Frozen
+// snapshot. Both read the same CSR arrays, and every node-ID run — label
+// rows, out-rows, in-rows — is carved from one backing array, so the
+// build costs the same few allocations whatever |E| is. The graph's rows
+// stay sorted and it carries no edge map until its first AddEdge or
+// RemoveEdge (see thaw); the snapshot never changes.
+func FromSortedEdges(in *Interner, labels []Label, values []Value, keys []uint64) (*Graph, *Frozen) {
+	if in == nil {
+		in = NewInterner()
+	}
+	n, m := len(labels), len(keys)
+	ids := make([]NodeID, n+2*m)
+	starts := make([]int32, 2*n+3)
+	rows := make([][]NodeID, 2*n)
+	g := &Graph{
+		interner: in,
+		labels:   labels,
+		values:   values,
+		out:      rows[:n:n],
+		in:       rows[n:],
+		byLabel:  labelRows(labels, ids[:n:n]),
+		numNodes: n,
+		numEdges: m,
+	}
+	f := &Frozen{
+		outStart: starts[: n+1 : n+1],
+		outAdj:   ids[n : n+m : n+m],
+		inStart:  starts[n+1:],
+		inAdj:    ids[n+m:],
+		capN:     n,
+		numEdges: m,
+	}
+	// keys ascend by (from, to): outAdj is their targets in order. The
+	// in-rows are a counting sort on the target (inStart has one spare
+	// slot for it); visiting keys in order keeps each in-row ascending by
+	// source.
+	for i, k := range keys {
+		from, to := UnpackEdge(k)
+		f.outAdj[i] = to
+		f.outStart[from+1]++
+		f.inStart[to+2]++
+	}
+	for v := 0; v < n; v++ {
+		f.outStart[v+1] += f.outStart[v]
+		f.inStart[v+2] += f.inStart[v+1]
+	}
+	for _, k := range keys {
+		from, to := UnpackEdge(k)
+		f.inAdj[f.inStart[to+1]] = from
+		f.inStart[to+1]++
+	}
+	f.inStart = f.inStart[:n+1]
+	for v := 0; v < n; v++ {
+		lo, hi := f.outStart[v], f.outStart[v+1]
+		g.out[v] = f.outAdj[lo:hi:hi]
+		lo, hi = f.inStart[v], f.inStart[v+1]
+		g.in[v] = f.inAdj[lo:hi:hi]
+	}
+	return g, f
+}
+
+// labelRows builds the byLabel table of nodes 0..len(labels)-1, carving
+// every row, capacity-capped, out of backing (len(labels) long).
+func labelRows(labels []Label, backing []NodeID) map[Label][]NodeID {
+	var maxL Label
+	for _, l := range labels {
+		maxL = max(maxL, l)
+	}
+	count := make([]int, maxL+1)
+	distinct := 0
+	for _, l := range labels {
+		if count[l] == 0 {
+			distinct++
+		}
+		count[l]++
+	}
+	rows := make(map[Label][]NodeID, distinct)
+	off := 0
+	for l, c := range count {
+		if c > 0 {
+			rows[Label(l)] = backing[off : off : off+c]
+			off += c
+		}
+	}
+	for v, l := range labels {
+		rows[l] = append(rows[l], NodeID(v))
+	}
+	return rows
+}
+
 // Refresh returns a snapshot of g sharing everything with f except the
 // given rows, whose adjacency is re-read from g (sorted). rows must cover
 // every node whose neighborhood changed since f was taken — for a

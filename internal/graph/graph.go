@@ -11,6 +11,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -40,6 +42,17 @@ func packEdge(from, to NodeID) edgeKey {
 	return edgeKey(uint64(uint32(from))<<32 | uint64(uint32(to)))
 }
 
+// PackEdge packs the ordered node pair (from, to) into one word, from in
+// the high half: ascending packed keys list edges grouped by source, each
+// group ascending by target. Other word-keyed tables (GQ's edge buffer,
+// the pair-keyed constraint indexes) share this packing.
+func PackEdge(from, to NodeID) uint64 { return uint64(packEdge(from, to)) }
+
+// UnpackEdge inverts PackEdge.
+func UnpackEdge(k uint64) (from, to NodeID) {
+	return NodeID(uint32(k >> 32)), NodeID(uint32(k))
+}
+
 // Graph is a node-labeled directed graph G = (V, E, f, ν). The zero Graph
 // is not ready to use; call New.
 //
@@ -54,7 +67,11 @@ type Graph struct {
 	in  [][]NodeID
 
 	byLabel map[Label][]NodeID // live nodes per label, ascending ID order
-	edges   map[edgeKey]struct{}
+	// edges indexes E for HasEdge. It is nil on a graph built by
+	// FromSortedEdges, whose rows are sorted runs of one backing array
+	// shared with a Frozen: HasEdge then binary-searches the row, and the
+	// first mutation (thaw) builds the map and detaches the rows.
+	edges map[edgeKey]struct{}
 
 	numNodes int // live nodes
 	numEdges int
@@ -114,6 +131,7 @@ func (g *Graph) AddEdge(from, to NodeID) error {
 	if !g.valid(from) || !g.valid(to) {
 		return ErrNoSuchNode
 	}
+	g.thaw()
 	k := packEdge(from, to)
 	if _, ok := g.edges[k]; ok {
 		return ErrDupEdge
@@ -123,6 +141,41 @@ func (g *Graph) AddEdge(from, to NodeID) error {
 	g.in[to] = append(g.in[to], from)
 	g.numEdges++
 	return nil
+}
+
+// thaw readies a graph built by FromSortedEdges for its first mutation:
+// the rows are copied off the backing arrays the Frozen shares (so edits
+// never reach the snapshot) and the edge map is built. On any other graph
+// it is a no-op.
+func (g *Graph) thaw() {
+	if g.edges != nil {
+		return
+	}
+	detach := func(rows [][]NodeID) {
+		total := 0
+		for _, r := range rows {
+			total += len(r)
+		}
+		flat := make([]NodeID, 0, total)
+		for i, r := range rows {
+			lo := len(flat)
+			flat = append(flat, r...)
+			rows[i] = flat[lo:len(flat):len(flat)]
+		}
+	}
+	detach(g.out)
+	detach(g.in)
+	g.indexEdges()
+}
+
+// indexEdges builds the edge map from the out-rows.
+func (g *Graph) indexEdges() {
+	g.edges = make(map[edgeKey]struct{}, g.numEdges)
+	for from, outs := range g.out {
+		for _, to := range outs {
+			g.edges[packEdge(NodeID(from), to)] = struct{}{}
+		}
+	}
 }
 
 // MustAddEdge is AddEdge, panicking on error; for generators and tests.
@@ -141,6 +194,7 @@ func (g *Graph) AddEdgeIfAbsent(from, to NodeID) bool {
 
 // RemoveEdge deletes the directed edge (from, to).
 func (g *Graph) RemoveEdge(from, to NodeID) error {
+	g.thaw()
 	k := packEdge(from, to)
 	if _, ok := g.edges[k]; !ok {
 		return ErrNoSuchEdge
@@ -340,6 +394,13 @@ func (g *Graph) Contains(v NodeID) bool { return g.valid(v) }
 
 // HasEdge reports whether the directed edge (from, to) exists.
 func (g *Graph) HasEdge(from, to NodeID) bool {
+	if g.edges == nil {
+		if from < 0 || int(from) >= len(g.out) {
+			return false
+		}
+		_, ok := slices.BinarySearch(g.out[from], to)
+		return ok
+	}
 	_, ok := g.edges[packEdge(from, to)]
 	return ok
 }
@@ -555,8 +616,10 @@ func (g *Graph) Clone() *Graph {
 	for l, ns := range g.byLabel {
 		c.byLabel[l] = append([]NodeID(nil), ns...)
 	}
-	for k := range g.edges {
-		c.edges[k] = struct{}{}
+	if g.edges == nil {
+		c.indexEdges()
+	} else {
+		c.edges = maps.Clone(g.edges)
 	}
 	c.numNodes = g.numNodes
 	c.numEdges = g.numEdges

@@ -458,11 +458,9 @@ func (e *Engine) eval(q Query, cfg *core.ExecConfig, epoch uint64, vector []uint
 	}
 	switch q.Sem {
 	case core.Subgraph:
-		// VF2's feasibility checks probe edges constantly; a one-off
-		// freeze of the (small) fetched subgraph turns them into binary
-		// searches. Match order may differ from the serial path, the
-		// match set never does.
-		sub := match.VF2WithCandidatesFrozen(p.Q, bg.G, bg.G.Freeze(), bg.Cands, q.Sub)
+		// VF2's feasibility checks probe edges constantly; GQ's frozen
+		// snapshot, built with it, turns them into binary searches.
+		sub := match.VF2WithCandidatesFrozen(p.Q, bg.G, bg.Fz, bg.Cands, q.Sub)
 		bg.MapSubgraphResult(sub)
 		res.Sub = sub
 	case core.Simulation:

@@ -640,9 +640,9 @@ func (r *Router) checkGlobal(txns []*store.Txn, snaps []*store.Snapshot, schema 
 		total := 0
 		for s := range txns {
 			if txns[s] != nil {
-				total += txns[s].Index().EntryLen(te.CIdx, te.Key)
+				total += txns[s].Index().EntryLen(te)
 			} else {
-				total += snaps[s].Idx.EntryLen(te.CIdx, te.Key)
+				total += snaps[s].Idx.EntryLen(te)
 			}
 		}
 		if total > schema.At(te.CIdx).N && total > worst[te.CIdx] {
