@@ -2,9 +2,9 @@
 // figure of the paper's evaluation (§VII) as a testing.B target. The
 // benches run reduced configurations so `go test -bench=.` finishes in
 // minutes; cmd/benchrunner runs the full-size sweeps and prints the
-// tables recorded in EXPERIMENTS.md.
+// tables (-csv DIR also writes them as CSV).
 //
-// Mapping (see DESIGN.md §3):
+// Mapping to the paper's figures and tables:
 //
 //	BenchmarkExp1BoundedPct   — Exp-1(1), % of effectively bounded queries
 //	BenchmarkFig5VaryG        — Fig 5(a,e,i), eval time vs |G|
@@ -199,10 +199,9 @@ var (
 )
 
 func getEnv(b *testing.B) *benchEnv {
-	// Same dataset, seed and load as the recorded harness run (see
-	// EXPERIMENTS.md): all effectively bounded queries of a 60-query
-	// load, so per-op totals here aggregate the same workload the
-	// tables report averages for.
+	// One fixed workload: all effectively bounded queries of a 60-query
+	// load, so per-op totals here aggregate a whole load, the way the
+	// tables report per-load averages.
 	envOnce.Do(func() { env = buildBenchEnv(60) })
 	return requireEnv(b, &env)
 }
@@ -311,11 +310,11 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 // BenchmarkIncrementalMaintenance measures index upkeep under updates:
-// ApplyDelta (touching only ΔG ∪ Nb(ΔG)) versus rebuilding every index
+// ApplyDeltaTx (touching only ΔG ∪ Nb(ΔG)) versus rebuilding every index
 // from scratch after the same update.
 func BenchmarkIncrementalMaintenance(b *testing.B) {
 	lMovieName, lYearName := "movie", "year"
-	b.Run("ApplyDelta", func(b *testing.B) {
+	b.Run("ApplyDeltaTx", func(b *testing.B) {
 		d := workload.IMDb(0.1, 1)
 		lMovie, lYear := d.In.Intern(lMovieName), d.In.Intern(lYearName)
 		year := d.G.NodesByLabel(lYear)[0]
@@ -329,12 +328,12 @@ func BenchmarkIncrementalMaintenance(b *testing.B) {
 				AddNodes: []graph.NodeSpec{{Label: lMovie, Value: graph.IntValue(int64(i))}},
 				AddEdges: [][2]graph.NodeID{{graph.NewNodeRef(0), year}},
 			}
-			newIDs, _, err := idx.ApplyDelta(d.G, ins)
+			res, err := idx.ApplyDeltaTx(d.G, ins)
 			if err != nil {
 				b.Fatal(err)
 			}
-			del := &graph.Delta{DelNodes: newIDs}
-			if _, _, err := idx.ApplyDelta(d.G, del); err != nil {
+			del := &graph.Delta{DelNodes: res.NewIDs}
+			if _, err := idx.ApplyDeltaTx(d.G, del); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -394,8 +393,8 @@ func engineQueries(e *benchEnv, mopt match.SubgraphOptions) []runtime.Query {
 // runtime against the serial evaluation loop on the standard bounded
 // workload: "serial" plans+evaluates one query at a time through the
 // baseline Plan.Exec path; "workers=N" serves the same batch through a
-// runtime.Engine pool (frozen snapshot, per-worker scratch, concurrent
-// queries). One op = one full batch.
+// runtime.Engine limited to N concurrent queries (frozen snapshots,
+// pooled scratch). One op = one full batch.
 func BenchmarkEngineThroughput(b *testing.B) {
 	// Near-full enumeration (the paper's exact Q(G) configuration, like
 	// exp.Default): the matching phase inside GQ is a real cost, which is

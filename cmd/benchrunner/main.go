@@ -1,7 +1,7 @@
 // Command benchrunner regenerates the paper's evaluation tables and
 // figures (§VII) on the synthetic datasets. Each -exp value corresponds to
-// one figure/table; "all" runs everything. See EXPERIMENTS.md for the
-// recorded paper-vs-measured comparison.
+// one figure/table; "all" runs everything, and -csv DIR also writes each
+// table as CSV.
 //
 // Usage:
 //
@@ -30,7 +30,7 @@ func main() {
 		budget   = flag.Int("budget", 0, "step budget for VF2/optVF2 baselines")
 		matchCap = flag.Int("match-cap", 0, "match-count cap for subgraph algorithms")
 		scales   = flag.String("scales", "", "comma-separated |G| scale factors for fig5-varyg (may exceed 1.0)")
-		workers  = flag.Int("workers", 0, "parallel execution: shard bounded plans and size the engine pool (0/1 = serial)")
+		workers  = flag.Int("workers", 0, "parallel execution: shard bounded plans and cap the engine's concurrent queries (0/1 = serial)")
 		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
 	)
 	flag.Parse()

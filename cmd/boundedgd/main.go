@@ -119,7 +119,7 @@ func registerFlags(fs *flag.FlagSet, opt *options) {
 	fs.StringVar(&opt.schema, "schema", "", "access schema JSON; constraint indices are built at startup")
 	fs.StringVar(&opt.index, "index", "", "persisted index set JSON (from -write-index or datagen -index); replaces -schema")
 	fs.StringVar(&opt.writeIndex, "write-index", "", "persist the index set to this path after startup")
-	fs.IntVar(&opt.workers, "workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&opt.workers, "workers", 0, "max concurrent query evaluations (0 = GOMAXPROCS)")
 	fs.IntVar(&opt.cache, "cache", 512, "result cache entries (negative disables)")
 	fs.DurationVar(&opt.timeout, "timeout", 5*time.Second, "per-query evaluation deadline (0 or negative disables)")
 	fs.DurationVar(&opt.drain, "drain", 10*time.Second, "graceful-shutdown drain budget")

@@ -1,8 +1,9 @@
 // Documentation checks, run by the CI docs job: Go examples embedded in
 // the markdown pages must be gofmt-clean, every internal package must
-// carry a godoc synopsis, and relative links in docs/ and the README
-// must resolve. They complement TestReadmeFlagSynopsis (cmd/boundedgd),
-// which pins the README flag block to the daemon's actual flag set.
+// carry a godoc synopsis, and relative links in docs/ and the README —
+// and markdown files named in Go comments — must resolve. They complement
+// TestReadmeFlagSynopsis (cmd/boundedgd), which pins the README flag block
+// to the daemon's actual flag set.
 package boundedg
 
 import (
@@ -10,6 +11,7 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -126,6 +128,48 @@ func TestDocLinks(t *testing.T) {
 			}
 		}
 	}
+}
+
+var mdNameRE = regexp.MustCompile(`\b[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b`)
+
+// TestDocsGoCommentCitations resolves every markdown file a Go comment
+// names, offline: the name must exist relative to the commenting file's
+// directory or to the repository root. The bench/ module documents itself.
+func TestDocsGoCommentCitations(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, name := range mdNameRE.FindAllString(cg.Text(), -1) {
+				if !fileExists(filepath.Join(filepath.Dir(path), name)) && !fileExists(name) {
+					t.Errorf("%s: comment cites %s, which does not exist", path, name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // hasAnchor reports whether a markdown heading slugs (GitHub-style) to

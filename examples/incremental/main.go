@@ -4,10 +4,12 @@
 // on every update would reintroduce the |G| dependence the whole approach
 // removes. This example applies a stream of updates — new movies, new
 // cast edges, deletions — maintaining the indices incrementally (touching
-// only ΔG ∪ Nb(ΔG)) and re-answering a bounded query after each batch.
+// only ΔG ∪ Nb(ΔG)) and re-answering a bounded query after each batch. An
+// update that would break a cardinality bound is rejected whole.
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -74,24 +76,25 @@ func main() {
 			{graph.NewNodeRef(0), award},
 		},
 	}
-	_, viols2, err := idx.ApplyDelta(d.G, delta)
-	if err != nil {
+	res, err := idx.ApplyDeltaTx(d.G, delta)
+	var verr *access.ViolationError
+	switch {
+	case errors.As(err, &verr):
+		// The (year, award) pair already holds its bound of winners: the
+		// update is rejected whole, and graph and indices stay as they were.
+		fmt.Printf("update rejected, graph untouched: %v\n", verr.Violations[0])
+	case err != nil:
 		log.Fatal(err)
-	}
-	if len(viols2) > 0 {
-		// The (year, award) pair may already hold 4 winners; in a real
-		// deployment the writer would reject or re-route the update.
-		fmt.Printf("update broke a cardinality constraint: %v\n", viols2[0])
-	}
-	fmt.Printf("after inserting a winner:                 %d matches\n", count())
+	default:
+		fmt.Printf("after inserting a winner:                 %d matches\n", count())
 
-	// Batch 2: retract the award edge again.
-	newMovie := d.G.NodesByLabel(lMovie)[d.G.CountLabel(lMovie)-1]
-	retract := &graph.Delta{DelEdges: [][2]graph.NodeID{{newMovie, award}}}
-	if _, _, err := idx.ApplyDelta(d.G, retract); err != nil {
-		log.Fatal(err)
+		// Batch 2: retract the award edge again.
+		retract := &graph.Delta{DelEdges: [][2]graph.NodeID{{res.NewIDs[0], award}}}
+		if _, err := idx.ApplyDeltaTx(d.G, retract); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("after retracting the award:               %d matches\n", count())
 	}
-	fmt.Printf("after retracting the award:               %d matches\n", count())
 
 	// Verify incremental state equals a from-scratch rebuild.
 	fresh, fviols := access.Build(d.G, d.Schema)

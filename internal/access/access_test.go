@@ -1,6 +1,7 @@
 package access
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -365,12 +366,8 @@ func TestApplyDeltaMaintainsIndexes(t *testing.T) {
 		},
 		DelEdges: [][2]graph.NodeID{delEdge},
 	}
-	_, viols2, err := set.ApplyDelta(g, d)
-	if err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
-	}
-	if len(viols2) != 0 {
-		t.Fatalf("unexpected violations after delta: %v", viols2)
+	if _, err := set.ApplyDeltaTx(g, d); err != nil {
+		t.Fatalf("ApplyDeltaTx: %v", err)
 	}
 	assertIndexesMatchRebuild(t, g, schema, set)
 }
@@ -381,8 +378,8 @@ func TestApplyDeltaNodeDeletion(t *testing.T) {
 	set, _ := Build(g, schema)
 	movie := g.NodesByLabel(lbl["movie"])[0]
 	d := &graph.Delta{DelNodes: []graph.NodeID{movie}}
-	if _, _, err := set.ApplyDelta(g, d); err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
+	if _, err := set.ApplyDeltaTx(g, d); err != nil {
+		t.Fatalf("ApplyDeltaTx: %v", err)
 	}
 	assertIndexesMatchRebuild(t, g, schema, set)
 }
@@ -404,14 +401,17 @@ func TestApplyDeltaDetectsViolation(t *testing.T) {
 			{graph.NewNodeRef(0), awards[0]},
 		},
 	}
-	_, viols2, err := set.ApplyDelta(g, d)
-	if err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
+	nodes, edges := g.NumNodes(), g.NumEdges()
+	_, err := set.ApplyDeltaTx(g, d)
+	var ve *ViolationError
+	if !errors.As(err, &ve) || len(ve.Violations) != 1 || ve.Violations[0].Count != 3 {
+		t.Fatalf("ApplyDeltaTx err = %v, want a rejection with one violation of count 3", err)
 	}
-	if len(viols2) != 1 || viols2[0].Count != 3 {
-		t.Fatalf("violations = %v, want one with count 3", viols2)
+	// The rejection leaves the graph unchanged and the indexes equal to
+	// its rebuild.
+	if g.NumNodes() != nodes || g.NumEdges() != edges {
+		t.Fatalf("rejected delta changed the graph: %d/%d nodes, %d/%d edges", g.NumNodes(), nodes, g.NumEdges(), edges)
 	}
-	// Index must still be correct even though the bound broke.
 	assertIndexesMatchRebuild(t, g, schema, set)
 }
 
@@ -536,8 +536,8 @@ func TestApplyDeltaEqualsRebuildProperty(t *testing.T) {
 		if len(d.DelEdges) == 0 || (victim != d.DelEdges[0][0] && victim != d.DelEdges[0][1]) {
 			d.DelNodes = append(d.DelNodes, victim)
 		}
-		if _, _, err := set.ApplyDelta(g, d); err != nil {
-			t.Logf("seed %d: ApplyDelta: %v", seed, err)
+		if _, err := set.ApplyDeltaTx(g, d); err != nil {
+			t.Logf("seed %d: ApplyDeltaTx: %v", seed, err)
 			return false
 		}
 		fresh := BuildUnchecked(g, schema)

@@ -669,36 +669,6 @@ func (s *IndexSet) checkRows(rows []graph.NodeID) []Violation {
 	return viols
 }
 
-// ApplyDelta applies d to g and incrementally maintains every index,
-// touching only ΔG ∪ NbG(ΔG) per §II of the paper. It returns the IDs
-// assigned to the delta's inserted nodes, any cardinality violations
-// introduced by the update (the indices are still maintained correctly in
-// that case), and the first structural error from applying the delta.
-//
-// ApplyDelta is best-effort: on a structural error the graph may be
-// partially updated, and a violating delta stays applied. The serving
-// path needs all-or-nothing semantics — use ApplyDeltaTx there.
-func (s *IndexSet) ApplyDelta(g *graph.Graph, d *graph.Delta) ([]graph.NodeID, []Violation, error) {
-	touched := d.Touched(g)
-	newIDs, err := d.Apply(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	recompute := make([]graph.NodeID, 0, len(touched)+len(newIDs))
-	for v := range touched {
-		recompute = append(recompute, v)
-	}
-	recompute = append(recompute, newIDs...)
-	s.maintainRows(g, recompute)
-	var viols []Violation
-	for _, x := range s.indexes {
-		if v := x.check(); v != nil {
-			viols = append(viols, *v)
-		}
-	}
-	return newIDs, viols, nil
-}
-
 // ReplayDelta applies an already-accepted delta to the paired
 // copy-on-write instance — the lag catch-up of the epoch-versioned
 // store. d was validated and accepted on the other instance while both
@@ -747,8 +717,8 @@ type DeltaResult struct {
 	Touched []graph.NodeID
 }
 
-// ApplyDeltaTx is the transactional ApplyDelta of the live serving path:
-// it applies d to g and maintains every index, but a delta that fails
+// ApplyDeltaTx applies d to g and incrementally maintains every index,
+// touching only ΔG ∪ NbG(ΔG) per §II of the paper. A delta that fails
 // structurally (bad node or edge reference) or breaks a cardinality bound
 // leaves both the graph and the indexes exactly untouched — including the
 // graph's node-ID space, so a rejected insert does not shift future IDs.

@@ -43,7 +43,7 @@ func TestIndexSetPersistRoundTrip(t *testing.T) {
 	// were rebuilt): delete a movie and compare with a fresh build.
 	movie := g.NodesByLabel(lbl["movie"])[0]
 	d := &graph.Delta{DelNodes: []graph.NodeID{movie}}
-	if _, _, err := loaded.ApplyDelta(g, d); err != nil {
+	if _, err := loaded.ApplyDeltaTx(g, d); err != nil {
 		t.Fatal(err)
 	}
 	assertIndexesMatchRebuild(t, g, schema, loaded)

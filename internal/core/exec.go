@@ -70,7 +70,7 @@ type ExecConfig struct {
 	Frozen *graph.Frozen
 	// Scratch, when non-nil, reuses per-execution buffers (dense sets
 	// and the GQ remap table) across queries. A scratch serves one
-	// execution at a time — engine workers each own one.
+	// execution at a time; without one, ExecWith borrows from a pool.
 	Scratch *ExecScratch
 	// Ctx, when non-nil, is polled at every plan operation and every
 	// cancelStride enumerated tuples inside the fetch and
@@ -131,9 +131,9 @@ type ExecScratch struct {
 // NewExecScratch returns an empty scratch; buffers are grown on first use.
 func NewExecScratch() *ExecScratch { return &ExecScratch{} }
 
-// execScratchPool serves executions whose caller supplied no scratch, so
-// repeated one-shot Exec calls (the experiment loops) amortize the dense
-// buffers exactly like the engine's per-worker scratches do.
+// execScratchPool serves executions whose caller supplied no scratch —
+// the runtime engine's and the experiment loops' — so repeated executions
+// amortize the dense buffers.
 var execScratchPool = sync.Pool{New: func() any { return NewExecScratch() }}
 
 func (s *ExecScratch) getSeen(idCap int) *graph.DenseSet {

@@ -12,10 +12,9 @@ import (
 // Ablation quantifies the value of QPlan's worst-case-optimal plan search
 // (Theorem 4) against the naive baseline (first applicable constraint, no
 // reductions — core.NewNaivePlan): worst-case GQ estimates, actual data
-// accessed, and wall-clock per query. This is the design-choice ablation
-// DESIGN.md §3 calls out; the paper itself only proves optimality, so
-// there is no published row to match — the table documents the measured
-// gap on our workloads.
+// accessed, and wall-clock per query. The paper itself only proves
+// optimality, so there is no published row to match — the table documents
+// the measured gap on our workloads.
 func Ablation(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	t := &Table{

@@ -11,8 +11,8 @@ import (
 
 // EngineThroughput measures batch throughput of the parallel runtime: the
 // full bounded query load of a dataset (both semantics) evaluated by a
-// serial loop versus runtime.Engine pools of increasing size. maxWorkers
-// comes from Options.Workers (default 4). The paper makes per-query cost
+// serial loop versus runtime.Engine at increasing concurrency limits.
+// maxWorkers comes from Options.Workers (default 4). The paper makes per-query cost
 // independent of |G|; this table shows the remaining lever — queries per
 // second under concurrent load.
 func EngineThroughput(opt Options) (*Table, error) {

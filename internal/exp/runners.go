@@ -30,8 +30,9 @@ type Options struct {
 	// Scales lists |G| scale factors for Fig 5(a/e/i).
 	Scales []float64
 	// Workers > 1 runs bounded plans through the parallel execution path
-	// (sharded fetch/verification over a frozen snapshot) and sizes the
-	// engine pool of the engine-throughput experiment. 0/1 = serial.
+	// (sharded fetch/verification over a frozen snapshot) and is the top
+	// engine concurrency limit of the engine-throughput experiment. 0/1 =
+	// serial.
 	Workers int
 }
 
@@ -46,7 +47,7 @@ func Default() Options {
 		// the same generous cap, mirroring the paper's exact Q(G).
 		MatchLimit: 200_000,
 		// The sweep extends past 1.0 so bounded evaluation's plateau is
-		// visible once the constraint caps bind (see EXPERIMENTS.md).
+		// visible once the constraint caps bind.
 		Scales: []float64{0.25, 0.5, 1.0, 2.0, 3.0},
 	}
 }

@@ -160,43 +160,14 @@ func IsNewNodeRef(id NodeID) (k int, ok bool) {
 	return 0, false
 }
 
-// Touched returns the set of pre-existing nodes whose neighborhoods the
-// delta affects: endpoints of inserted/deleted edges, deleted nodes, and
-// their neighbors (NbG(ΔG) in the paper). It must be computed against the
-// graph state *before* Apply.
-func (d *Delta) Touched(g *Graph) map[NodeID]struct{} {
-	touched := make(map[NodeID]struct{})
-	addWithNeighbors := func(v NodeID) {
-		if v < 0 || !g.Contains(v) {
-			return
-		}
-		touched[v] = struct{}{}
-		for _, w := range g.Neighbors(v) {
-			touched[w] = struct{}{}
-		}
-	}
-	for _, e := range d.AddEdges {
-		addWithNeighbors(e[0])
-		addWithNeighbors(e[1])
-	}
-	for _, e := range d.DelEdges {
-		addWithNeighbors(e[0])
-		addWithNeighbors(e[1])
-	}
-	for _, v := range d.DelNodes {
-		addWithNeighbors(v)
-	}
-	return touched
-}
-
 // ChangedRows returns two views of the pre-existing nodes the delta
 // affects, computed in one pass against the graph state *before* Apply
 // (nodes the delta itself inserts are reported by Apply):
 //
 //   - changed: every node whose adjacency is modified — endpoints of
 //     inserted/deleted edges, deleted nodes, and the neighbors of deleted
-//     nodes (which lose the incident edges). Unlike Touched it does NOT
-//     include neighbors of edge endpoints, whose adjacency is unchanged.
+//     nodes (which lose the incident edges). It does NOT include
+//     neighbors of edge endpoints, whose adjacency is unchanged.
 //   - direct ⊆ changed: the nodes the delta names explicitly — edge
 //     endpoints and deleted nodes, without the deleted nodes' neighbors.
 //     Index maintenance re-derives only these (a deleted node's neighbors

@@ -43,13 +43,13 @@ func equalIDs(a, b []NodeID) bool {
 	return true
 }
 
-// refreshRows mirrors what the store feeds Refresh: ΔG ∪ NbG(ΔG) computed
-// before the delta, plus the IDs the delta inserted.
+// refreshRows mirrors what the store feeds Refresh: the delta's changed
+// rows computed before it applies, plus the IDs it inserted.
 func refreshRows(g *Graph, d *Delta) func(newIDs []NodeID) []NodeID {
-	touched := d.Touched(g)
+	changed, _ := d.ChangedRows(g)
 	return func(newIDs []NodeID) []NodeID {
-		rows := make([]NodeID, 0, len(touched)+len(newIDs))
-		for v := range touched {
+		rows := make([]NodeID, 0, len(changed)+len(newIDs))
+		for v := range changed {
 			rows = append(rows, v)
 		}
 		return append(rows, newIDs...)

@@ -1,14 +1,15 @@
-// Package runtime provides the concurrent bounded-evaluation engine: a
-// worker pool that serves many pattern queries against one shared data
-// graph and access-constraint index set. Because bounded evaluation makes
-// each query's cost independent of |G| (the paper's central guarantee),
+// Package runtime provides the concurrent bounded-evaluation engine: it
+// serves many pattern queries at once, each on its caller's goroutine
+// under a concurrency limit, against one shared data graph and
+// access-constraint index set. Because bounded evaluation makes each
+// query's cost independent of |G| (the paper's central guarantee),
 // throughput under heavy traffic is gated purely by per-query constant
 // factors — which the engine attacks by reading the graph through frozen
 // CSR snapshots and caching query plans.
 //
 // The engine reads and writes through one Source — a store.Store, or a
-// shard.Router over several: every Submit pins the cut current at
-// submission time (one snapshot per shard, all from one commit boundary)
+// shard.Router over several: every evaluation pins the cut current when
+// it is admitted (one snapshot per shard, all from one commit boundary)
 // and the query evaluates against that version end to end, so concurrent
 // writers publishing new epochs never change a query's view mid-flight.
 // The plan cache survives epochs (plans depend only on the pattern and
@@ -40,22 +41,9 @@ var (
 
 // Config tunes an Engine. The zero value picks sensible defaults.
 type Config struct {
-	// Workers is the number of queries evaluated concurrently. Defaults
-	// to GOMAXPROCS.
+	// Workers is the most queries evaluated at once; further callers wait
+	// for a slot. Defaults to GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds pending submissions before Submit blocks.
-	// Defaults to 2×Workers.
-	QueueDepth int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = stdruntime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 2 * c.Workers
-	}
-	return c
 }
 
 // Query is one unit of work for the engine.
@@ -69,7 +57,7 @@ type Query struct {
 	// Plan, when non-nil, is used instead of planning (and caching) the
 	// pattern. It must be a plan for Pattern under the engine's schema.
 	// Without it, plans are cached by Pattern POINTER identity — reuse
-	// the same *pattern.Pattern across submissions to hit the cache.
+	// the same *pattern.Pattern across evaluations to hit the cache.
 	Plan *core.Plan
 	// FetchOnly stops after fetching the bounded subgraph GQ, skipping
 	// the matching phase; Result.Sub/Sim stay nil.
@@ -86,8 +74,8 @@ type Query struct {
 // node IDs) under the requested semantics. Stats may be non-nil even when
 // Err is a cancellation error raised after the fetch phase completed —
 // it accounts for the data actually accessed. Epoch is the source version
-// the query was evaluated against (the one current at Submit time); it is
-// set whenever the query made it past the queue, errors included.
+// the query was evaluated against (the one current when it was
+// admitted); it is set whenever the query was admitted, errors included.
 type Result struct {
 	BG    *core.BoundedGraph
 	Stats *core.ExecStats
@@ -102,28 +90,6 @@ type Result struct {
 	// when the query asked for it (Query.NeedFootprint).
 	Footprint *core.Footprint
 	Err       error
-}
-
-// Future is the async handle returned by Submit.
-type Future struct {
-	done chan struct{}
-	res  Result
-}
-
-// Wait blocks until the query finishes and returns its result.
-func (f *Future) Wait() Result {
-	<-f.done
-	return f.res
-}
-
-// Done returns a channel closed when the result is ready.
-func (f *Future) Done() <-chan struct{} { return f.done }
-
-type task struct {
-	ctx context.Context
-	q   Query
-	cut *store.Cut // pinned at Submit; released by the worker
-	fut *Future
 }
 
 // Source is the versioned backend an engine serves from: it pins
@@ -155,8 +121,8 @@ type Source interface {
 
 // Stats are the engine's cumulative counters.
 type Stats struct {
-	// Submitted, Completed and Failed count queries; Failed is the
-	// subset of Completed whose Result carried an error.
+	// Submitted, Completed and Failed count admitted queries; Failed is
+	// the subset of Completed whose Result carried an error.
 	Submitted, Completed, Failed uint64
 	// NodesAccessed and EdgesAccessed aggregate the per-query ExecStats.
 	NodesAccessed, EdgesAccessed uint64
@@ -165,24 +131,21 @@ type Stats struct {
 // Engine evaluates bounded pattern queries concurrently against one shared
 // Source. Construct with New (owning a fresh store over a graph + index
 // set), NewFromStore or NewFromRouter (sharing a source whose writers apply
-// live updates), feed with Submit/Eval/EvalBatch and shut down with Close.
-// Each query evaluates against the cut current at its Submit; the source's
-// writers may publish new epochs concurrently.
+// live updates), feed with Eval/EvalBatch and shut down with Close. Each
+// query evaluates against the cut current when it is admitted; the
+// source's writers may publish new epochs concurrently.
 type Engine struct {
 	src    Source
 	schema *access.Schema // immutable across epochs
-	cfg    Config
 
 	plans sync.Map // planKey -> *planEntry
 
-	// mu guards closed and sends on tasks: submitters hold the read
-	// side (many may block in their sends concurrently, each still
-	// responsive to its own context), Close takes the write side — so
-	// the channel close cannot race a send.
-	mu     sync.RWMutex
-	closed bool
-	tasks  chan task
-	wg     sync.WaitGroup
+	// slots is the concurrency limit: an evaluation holds one token. Close
+	// closes closed, then takes every slot, so it returns only once the
+	// evaluations in flight have finished.
+	slots     chan struct{}
+	closed    chan struct{}
+	closeOnce sync.Once
 
 	submitted, completed, failed atomic.Uint64
 	nodesAccessed, edgesAccessed atomic.Uint64
@@ -217,18 +180,20 @@ func NewFromRouter(r *shard.Router, cfg Config) (*Engine, error) { return NewFro
 
 // NewFromSource starts an engine reading from src. The caller keeps
 // writing to src (Apply) while the engine serves; each query sees the
-// version current at its Submit.
+// version current when it is admitted.
 func NewFromSource(src Source, cfg Config) (*Engine, error) {
 	if src == nil {
 		return nil, errors.New("runtime: engine needs a source")
 	}
-	cfg = cfg.withDefaults()
-	e := &Engine{src: src, schema: src.Schema(), cfg: cfg, tasks: make(chan task, cfg.QueueDepth)}
-	e.wg.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go e.worker()
+	if cfg.Workers <= 0 {
+		cfg.Workers = stdruntime.GOMAXPROCS(0)
 	}
-	return e, nil
+	return &Engine{
+		src:    src,
+		schema: src.Schema(),
+		slots:  make(chan struct{}, cfg.Workers),
+		closed: make(chan struct{}),
+	}, nil
 }
 
 // Schema returns the access schema the engine serves.
@@ -263,117 +228,87 @@ func (e *Engine) ApplyDelta(d *graph.Delta) (store.Result, error) { return e.src
 // counters, WAL figures, wedge state.
 func (e *Engine) SourceStats() store.Stats { return e.src.Stats() }
 
-func (e *Engine) worker() {
-	defer e.wg.Done()
-	// Each worker owns one scratch: per-query dense buffers are reused
-	// across every query (and epoch) the worker serves.
-	cfg := &core.ExecConfig{Scratch: core.NewExecScratch()}
-	var views []core.ShardView // per-worker, refilled per task
-	for t := range e.tasks {
-		if err := t.ctx.Err(); err != nil {
-			// The submitter gave up while the task sat in the queue;
-			// resolve promptly without touching the graph.
-			t.fut.res = Result{Err: err, Epoch: t.cut.Epoch}
-		} else {
-			cfg.Ctx = t.ctx
-			if t.q.NeedFootprint {
-				cfg.Footprint = core.NewFootprint()
-			}
-			// A one-snapshot cut collapses to the plain path inside
-			// core.ExecWith, so a single store pays no scatter/gather.
-			views = views[:0]
-			for _, sn := range t.cut.Snaps {
-				views = append(views, core.ShardView{G: sn.G, Fz: sn.Fz, Idx: sn.Idx})
-			}
-			cfg.Shards, cfg.ShardOf = views, t.cut.ShardOf
-			t.fut.res = e.eval(t.q, cfg, t.cut.Epoch, t.cut.Vector)
-			cfg.Ctx, cfg.Footprint, cfg.Shards, cfg.ShardOf = nil, nil, nil, nil
-		}
-		t.cut.Release()
-		e.completed.Add(1)
-		if t.fut.res.Err != nil {
-			e.failed.Add(1)
-		}
-		// Count accesses whenever a fetch ran, failed queries included —
-		// under a timeout storm the counters must still reflect the work
-		// actually done against the graph.
-		if st := t.fut.res.Stats; st != nil {
-			e.nodesAccessed.Add(uint64(st.NodesAccessed))
-			e.edgesAccessed.Add(uint64(st.EdgesAccessed))
-		}
-		close(t.fut.done)
-	}
-}
-
-// Submit enqueues q and returns a Future for its result. Submit blocks
-// while the queue is full; after Close it returns an already-resolved
-// Future carrying ErrClosed. The context travels with the query: it can
-// unblock a Submit stuck on a full queue, skip evaluation of a query
-// whose submitter has already gone away, and — through core.ExecWith —
+// Eval evaluates q on the calling goroutine. At most Config.Workers
+// evaluations run at once; a caller over the limit waits for a slot, and
+// gives up with ctx.Err() if its context dies first, or with ErrClosed
+// once the engine closes. Through core.ExecWith the context can also
 // abandon an evaluation in flight. A nil ctx means "never cancelled".
 //
-// The query is bound to the cut current at this call: updates published
-// while it waits in the queue or evaluates do not affect it.
-func (e *Engine) Submit(ctx context.Context, q Query) *Future {
+// The query is bound to the cut current once it holds a slot — a waiting
+// caller pins no snapshot — and updates published while it evaluates do
+// not affect it.
+func (e *Engine) Eval(ctx context.Context, q Query) Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	fut := &Future{done: make(chan struct{})}
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		fut.res = Result{Err: ErrClosed}
-		close(fut.done)
-		return fut
-	}
-	t := task{ctx: ctx, q: q, cut: e.src.AcquireCut(), fut: fut}
-	// Sending under the read lock keeps the channel-close in Close safe
-	// while letting any number of submitters block in their own selects
-	// concurrently — a full queue backpressures each of them until a
-	// worker frees a slot or that submitter's context dies.
 	select {
-	case e.tasks <- t:
-		e.submitted.Add(1)
+	case e.slots <- struct{}{}:
+	case <-e.closed:
+		return Result{Err: ErrClosed}
 	case <-ctx.Done():
-		t.cut.Release()
-		fut.res = Result{Err: ctx.Err()}
-		close(fut.done)
+		return Result{Err: ctx.Err()}
 	}
-	e.mu.RUnlock()
-	return fut
+	defer func() { <-e.slots }()
+	select {
+	case <-e.closed: // Close began while this caller took its slot
+		return Result{Err: ErrClosed}
+	default:
+	}
+	e.submitted.Add(1)
+	cut := e.src.AcquireCut()
+	defer cut.Release()
+	// A one-snapshot cut collapses to the plain path inside core.ExecWith,
+	// so a single store pays no scatter/gather. With no Scratch, ExecWith
+	// borrows one from its pool; a context already dead stops it before
+	// it touches the graph.
+	cfg := core.ExecConfig{Ctx: ctx, Shards: make([]core.ShardView, len(cut.Snaps)), ShardOf: cut.ShardOf}
+	for i, sn := range cut.Snaps {
+		cfg.Shards[i] = core.ShardView{G: sn.G, Fz: sn.Fz, Idx: sn.Idx}
+	}
+	if q.NeedFootprint {
+		cfg.Footprint = core.NewFootprint()
+	}
+	res := e.eval(q, &cfg, cut.Epoch, cut.Vector)
+	e.completed.Add(1)
+	if res.Err != nil {
+		e.failed.Add(1)
+	}
+	// Count accesses whenever a fetch ran, failed queries included —
+	// under a timeout storm the counters must still reflect the work
+	// actually done against the graph.
+	if st := res.Stats; st != nil {
+		e.nodesAccessed.Add(uint64(st.NodesAccessed))
+		e.edgesAccessed.Add(uint64(st.EdgesAccessed))
+	}
+	return res
 }
 
-// Eval evaluates q synchronously under ctx.
-func (e *Engine) Eval(ctx context.Context, q Query) Result { return e.Submit(ctx, q).Wait() }
-
-// EvalBatch submits every query under ctx and waits for all results,
-// which are returned in input order.
+// EvalBatch evaluates every query under ctx concurrently, within the
+// engine's limit, and returns the results in input order.
 func (e *Engine) EvalBatch(ctx context.Context, qs []Query) []Result {
-	futs := make([]*Future, len(qs))
-	for i, q := range qs {
-		futs[i] = e.Submit(ctx, q)
-	}
 	out := make([]Result, len(qs))
-	for i, f := range futs {
-		out[i] = f.Wait()
+	var wg sync.WaitGroup
+	wg.Add(len(qs))
+	for i, q := range qs {
+		go func() {
+			defer wg.Done()
+			out[i] = e.Eval(ctx, q)
+		}()
 	}
+	wg.Wait()
 	return out
 }
 
-// Close drains in-flight work and stops the workers. Pending futures
-// resolve normally; Submit calls racing with Close resolve with ErrClosed.
-// Close waits for submitters blocked on a full queue to land their sends
-// (workers keep draining until then), then closes the queue.
+// Close bars new evaluations, which then return ErrClosed, and waits for
+// those in flight to finish. It is idempotent and safe to call
+// concurrently with Eval and with itself.
 func (e *Engine) Close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	close(e.tasks)
-	e.mu.Unlock()
-	e.wg.Wait()
+	e.closeOnce.Do(func() {
+		close(e.closed)
+		for range cap(e.slots) {
+			e.slots <- struct{}{}
+		}
+	})
 }
 
 // Stats returns a snapshot of the engine's cumulative counters.
@@ -387,13 +322,13 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// maxCachedPlans bounds the plan cache: callers that submit a stream of
+// maxCachedPlans bounds the plan cache: callers that evaluate a stream of
 // never-repeated patterns (fresh pointers per query) would otherwise grow
 // the cache without bound for the engine's lifetime. At the cap the cache
 // is cleared and repopulates — refusing new entries instead would
 // permanently disable plan caching once enough distinct patterns had
 // passed through (and pin dead pattern pointers forever), while hot
-// patterns re-enter a cleared cache on their next submission.
+// patterns re-enter a cleared cache on their next evaluation.
 const maxCachedPlans = 4096
 
 // plan returns the (cached) bounded plan for q.
@@ -441,7 +376,7 @@ func (e *Engine) eval(q Query, cfg *core.ExecConfig, epoch uint64, vector []uint
 	}
 	// The matchers do not poll the context internally (bounding their
 	// work is SubgraphOptions.MaxSteps' job), so check at the phase
-	// boundaries: don't start matching for a dead submitter, and don't
+	// boundaries: don't start matching for a dead caller, and don't
 	// report a late success — a deadline that expired mid-match must
 	// surface as the cancellation error, or the server would serve (and
 	// cache) a 200 past its deadline.

@@ -115,13 +115,13 @@ func TestEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentStress hammers one engine from many goroutines with
-// a mixed workload and checks every result against precomputed serial
-// answers. Run under -race this exercises the shared graph, index set,
-// frozen snapshot and plan cache.
+// TestEngineConcurrentStress hammers one engine from more goroutines than
+// it has slots with a mixed workload and checks every result against
+// precomputed serial answers. Run under -race this exercises the shared
+// graph, index set, frozen snapshot, scratch pool and plan cache.
 func TestEngineConcurrentStress(t *testing.T) {
 	f := newFixture(t, 0.1, 30, 11)
-	e, err := New(f.d.G, f.idx, Config{Workers: 8, QueueDepth: 4})
+	e, err := New(f.d.G, f.idx, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +194,9 @@ func TestEngineConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestEngineBatchAndFutures covers the async surface: EvalBatch order,
-// FetchOnly, pre-built plans, and unbounded-pattern errors.
-func TestEngineBatchAndFutures(t *testing.T) {
+// TestEngineBatchAndOptions covers EvalBatch order, FetchOnly, pre-built
+// plans, and nil-pattern errors.
+func TestEngineBatchAndOptions(t *testing.T) {
 	f := newFixture(t, 0.1, 20, 5)
 	e, err := New(f.d.G, f.idx, Config{Workers: 3})
 	if err != nil {
@@ -243,51 +243,69 @@ func TestEngineBatchAndFutures(t *testing.T) {
 	}
 }
 
+// TestEngineClose: Close bars new evaluations with ErrClosed at once, but
+// returns only after the evaluations in flight have finished.
 func TestEngineClose(t *testing.T) {
 	f := newFixture(t, 0.1, 10, 9)
 	e, err := New(f.d.G, f.idx, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fut := e.Submit(nil, Query{Pattern: f.simQs[0], Sem: core.Simulation})
-	e.Close()
-	if r := fut.Wait(); r.Err != nil {
-		t.Fatalf("pending future after Close: %v", r.Err)
+	q := Query{Pattern: f.simQs[0], Sem: core.Simulation}
+	if r := e.Eval(nil, q); r.Err != nil {
+		t.Fatalf("eval before Close: %v", r.Err)
 	}
-	if r := e.Eval(nil, Query{Pattern: f.simQs[0], Sem: core.Simulation}); r.Err != ErrClosed {
-		t.Fatalf("submit after Close err = %v, want ErrClosed", r.Err)
+	e.slots <- struct{}{} // an evaluation in flight
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	<-e.closed
+	if r := e.Eval(nil, q); r.Err != ErrClosed {
+		t.Fatalf("eval after Close err = %v, want ErrClosed", r.Err)
 	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an evaluation was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	<-e.slots // the evaluation finishes
+	<-closed
 	e.Close() // double Close is a no-op
+	if st := e.Stats(); st.Submitted != 1 || st.Completed != 1 {
+		t.Fatalf("stats = %+v, want the one admitted query", st)
+	}
 }
 
-// TestEngineSubmitCloseRace is the regression test for closing an engine
-// under fire: many goroutines hammer Submit while two goroutines race
-// Close. No Submit may panic (send on closed channel), every future must
-// resolve, and each result is either a normal answer or ErrClosed.
-func TestEngineSubmitCloseRace(t *testing.T) {
+// TestEngineEvalCloseRace is the regression test for closing an engine
+// under fire: many goroutines call Eval while two goroutines race Close.
+// Nothing may panic or hang, each result is either a normal answer or
+// ErrClosed, and every admitted query completes.
+func TestEngineEvalCloseRace(t *testing.T) {
 	f := newFixture(t, 0.05, 10, 13)
 	for round := 0; round < 4; round++ {
-		e, err := New(f.d.G, f.idx, Config{Workers: 2, QueueDepth: 2})
+		e, err := New(f.d.G, f.idx, Config{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		const submitters = 8
+		const callers = 8
 		var wg sync.WaitGroup
 		start := make(chan struct{})
-		futs := make([][]*Future, submitters)
-		for s := 0; s < submitters; s++ {
+		results := make([][]Result, callers)
+		for c := 0; c < callers; c++ {
 			wg.Add(1)
-			go func(s int) {
+			go func(c int) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 20; i++ {
-					q := f.simQs[(s+i)%len(f.simQs)]
-					futs[s] = append(futs[s], e.Submit(nil, Query{Pattern: q, Sem: core.Simulation}))
+					q := f.simQs[(c+i)%len(f.simQs)]
+					results[c] = append(results[c], e.Eval(nil, Query{Pattern: q, Sem: core.Simulation}))
 				}
-			}(s)
+			}(c)
 		}
-		// Two goroutines race Close against the submitters (and each
-		// other: Close must be idempotent under concurrency).
+		// Two goroutines race Close against the callers (and each other:
+		// Close must be idempotent under concurrency).
 		var cwg sync.WaitGroup
 		for c := 0; c < 2; c++ {
 			cwg.Add(1)
@@ -301,22 +319,21 @@ func TestEngineSubmitCloseRace(t *testing.T) {
 		wg.Wait()
 		cwg.Wait()
 		ok, closed := 0, 0
-		for _, fs := range futs {
-			for _, fut := range fs {
-				r := fut.Wait()
+		for _, rs := range results {
+			for _, r := range rs {
 				switch r.Err {
 				case nil:
 					ok++
 				case ErrClosed:
 					closed++
 				default:
-					t.Fatalf("unexpected submit result: %v", r.Err)
+					t.Fatalf("unexpected eval result: %v", r.Err)
 				}
 			}
 		}
 		st := e.Stats()
 		if st.Submitted != st.Completed {
-			t.Fatalf("engine lost tasks: %+v (ok=%d closed=%d)", st, ok, closed)
+			t.Fatalf("engine lost queries: %+v (ok=%d closed=%d)", st, ok, closed)
 		}
 		if uint64(ok) != st.Completed-st.Failed {
 			t.Fatalf("result accounting off: ok=%d stats=%+v", ok, st)
@@ -324,11 +341,41 @@ func TestEngineSubmitCloseRace(t *testing.T) {
 	}
 }
 
+// TestEngineWaitingCallerCancels: a caller blocked on a full engine
+// returns its context's error when the context dies, without evaluating —
+// the engine's counters stay untouched.
+func TestEngineWaitingCallerCancels(t *testing.T) {
+	f := newFixture(t, 0.1, 10, 19)
+	e, err := New(f.d.G, f.idx, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.slots <- struct{}{} // the only slot is taken
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan Result, 1)
+	go func() { done <- e.Eval(ctx, Query{Pattern: f.subQs[0], Sem: core.Subgraph, Sub: mopt}) }()
+	select {
+	case r := <-done:
+		t.Fatalf("Eval returned %+v while every slot was taken", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+	cancel()
+	r := <-done
+	<-e.slots
+	if r.Err != context.Canceled || r.BG != nil || r.Stats != nil {
+		t.Fatalf("waiting Eval = %+v, want a bare context.Canceled", r)
+	}
+	if st := e.Stats(); st != (Stats{}) {
+		t.Fatalf("a query that never got a slot touched the engine: %+v", st)
+	}
+}
+
 // TestEngineContextCancellation covers the acceptance criterion: a query
 // submitted with an already-cancelled context resolves promptly with the
 // cancellation error and performs no evaluation (the engine's access
-// counters stay untouched), and a batch cancelled in flight drains
-// without evaluating the still-queued queries.
+// counters stay untouched), and a batch cancelled in flight returns
+// without evaluating the queries still waiting for a slot.
 func TestEngineContextCancellation(t *testing.T) {
 	f := newFixture(t, 0.3, 30, 17)
 	e, err := New(f.d.G, f.idx, Config{Workers: 2})
@@ -358,22 +405,22 @@ func TestEngineContextCancellation(t *testing.T) {
 	}
 
 	// Cancel a large batch as soon as the first result lands: the batch
-	// must drain, and every result is either complete or Canceled.
+	// must return, and every result is either complete or Canceled.
 	bctx, bcancel := context.WithCancel(context.Background())
 	defer bcancel()
 	var qs []Query
 	for i := 0; i < 40; i++ {
 		qs = append(qs, Query{Pattern: f.subQs[i%len(f.subQs)], Sem: core.Subgraph, Sub: mopt})
 	}
-	futs := make([]*Future, len(qs))
-	for i, q := range qs {
-		futs[i] = e.Submit(bctx, q)
-	}
-	<-futs[0].Done()
-	bcancel()
+	before := e.Stats().Completed
+	go func() {
+		for e.Stats().Completed == before {
+			time.Sleep(50 * time.Microsecond)
+		}
+		bcancel()
+	}()
 	cancelled := 0
-	for i, fut := range futs {
-		r := fut.Wait()
+	for i, r := range e.EvalBatch(bctx, qs) {
 		switch r.Err {
 		case nil:
 			if r.Sub == nil {
@@ -401,9 +448,8 @@ func TestEngineCancelAtMatchBoundary(t *testing.T) {
 	defer e.Close()
 	q := Query{Pattern: f.subQs[0], Sem: core.Subgraph, Sub: mopt}
 
-	// Probe how many polls a FetchOnly run makes (worker-entry check +
-	// every ExecWith poll); the full run's next poll after that is the
-	// pre-match boundary check.
+	// Probe how many polls a FetchOnly run makes (every ExecWith poll);
+	// the full run's next poll after that is the pre-match boundary check.
 	probe := &ctxtest.CountingCtx{After: 1 << 40}
 	fq := q
 	fq.FetchOnly = true

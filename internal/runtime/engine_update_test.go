@@ -157,46 +157,3 @@ func TestEngineAnswersMatchSomePublishedEpoch(t *testing.T) {
 		t.Fatalf("final epoch = %d, want %d", st.Epoch(), epochs)
 	}
 }
-
-// TestEngineSubmitBindsEpoch pins the submit-time snapshot: a query
-// submitted before an update answers from the pre-update epoch even if it
-// evaluates after the update published.
-func TestEngineSubmitBindsEpoch(t *testing.T) {
-	g, idx, q, pairs := updateFixture(t)
-	st := store.New(g, idx)
-	// A single worker whose queue we can line queries up in.
-	eng, err := NewFromStore(st, Config{Workers: 1, QueueDepth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	mopt := match.SubgraphOptions{StoreMatches: true, MaxMatches: 1 << 20}
-
-	before := eng.Eval(nil, Query{Pattern: q, Sem: core.Subgraph, Sub: mopt})
-	if before.Err != nil || before.Epoch != 0 {
-		t.Fatalf("baseline: epoch %d err %v", before.Epoch, before.Err)
-	}
-	fut := eng.Submit(nil, Query{Pattern: q, Sem: core.Subgraph, Sub: mopt})
-	if _, err := st.Apply(&graph.Delta{AddEdges: [][2]graph.NodeID{pairs[0]}}); err != nil {
-		t.Fatal(err)
-	}
-	res := fut.Wait()
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Epoch != 0 {
-		// The update may have landed before the Submit pinned its
-		// snapshot; only epoch 0 results must match the old answer.
-		t.Skipf("update published before submission pinned (epoch %d)", res.Epoch)
-	}
-	if canonicalMatches(res.Sub.Matches) != canonicalMatches(before.Sub.Matches) {
-		t.Fatal("epoch-0-bound query saw post-update data")
-	}
-	after := eng.Eval(nil, Query{Pattern: q, Sem: core.Subgraph, Sub: mopt})
-	if after.Err != nil || after.Epoch != 1 {
-		t.Fatalf("post-update: epoch %d err %v", after.Epoch, after.Err)
-	}
-	if len(after.Sub.Matches) != len(before.Sub.Matches)+1 {
-		t.Fatalf("post-update matches = %d, want %d", len(after.Sub.Matches), len(before.Sub.Matches)+1)
-	}
-}

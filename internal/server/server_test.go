@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -298,11 +299,14 @@ func TestServerErrors(t *testing.T) {
 }
 
 // TestServerConcurrentClients hammers one server from many goroutines
-// mixing repeat queries (cache hits), fresh queries and bad requests;
-// every well-formed answer must match the direct evaluation.
+// mixing repeat queries (cache hits) and fresh queries while writers
+// commit updates beside them. The updates add and delete nodes of a label
+// no query reads, so every answer must still match the direct
+// evaluation; no request may fail, each writer's epochs must strictly
+// increase, and the final epoch must be the last one any writer saw.
 func TestServerConcurrentClients(t *testing.T) {
 	d := workload.DBpedia(0.05, 4)
-	e := newEnv(t, d, Config{CacheSize: 8})
+	e := newEnv(t, d, Config{CacheSize: 8, EnableUpdates: true})
 	var qs []*pattern.Pattern
 	for _, cand := range workload.DefaultQueryGen.Generate(d, 40, 9) {
 		if _, err := core.NewPlan(cand, d.Schema, core.Subgraph); err == nil {
@@ -319,9 +323,9 @@ func TestServerConcurrentClients(t *testing.T) {
 		}
 	}
 
-	const clients = 8
+	const clients, writers = 8, 2
 	var wg sync.WaitGroup
-	errs := make(chan error, clients)
+	errs := make(chan error, clients+writers)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -353,10 +357,51 @@ func TestServerConcurrentClients(t *testing.T) {
 			}
 		}(c)
 	}
+	lastEpochs := make([]uint64, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			update := func(body string) (UpdateResponse, error) {
+				var ur UpdateResponse
+				resp, err := http.Post(e.ts.URL+"/update", "application/json", strings.NewReader(body))
+				if err != nil {
+					return ur, err
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					return ur, fmt.Errorf("writer %d: update status %d", w, resp.StatusCode)
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&ur); err != nil {
+					return ur, err
+				}
+				// Closed loop: this writer's previous update published
+				// before this one was sent.
+				if ur.Epoch <= lastEpochs[w] {
+					return ur, fmt.Errorf("writer %d: epoch %d after %d", w, ur.Epoch, lastEpochs[w])
+				}
+				lastEpochs[w] = ur.Epoch
+				return ur, nil
+			}
+			for i := 0; i < 15; i++ {
+				added, err := update(`{"add_nodes": [{"label": "unqueried"}]}`)
+				if err == nil {
+					_, err = update(fmt.Sprintf(`{"del_nodes": [%d]}`, added.NewIDs[0]))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if final := e.getStats(t).Epoch; final != slices.Max(lastEpochs) {
+		t.Fatalf("final epoch %d, writers last saw %v", final, lastEpochs)
 	}
 }
 

@@ -16,9 +16,8 @@ func rows(vals ...[]graph.NodeID) [][]graph.NodeID { return vals }
 func row(ids ...graph.NodeID) []graph.NodeID { return ids }
 
 // TestEventRoundTrip writes every event shape through the SSE codec and
-// demands the decoded frame be structurally identical — the loadgen
-// subscribers and the differential harness both depend on this codec
-// being lossless.
+// demands the decoded frame be structurally identical — the differential
+// harness's folding subscribers depend on this codec being lossless.
 func TestEventRoundTrip(t *testing.T) {
 	events := []Event{
 		{Type: TypeInit, Epoch: 0, Rows: nil, Complete: true},

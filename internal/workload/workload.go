@@ -2,7 +2,7 @@
 // to reproduce the paper's evaluation (§VII). The paper measured three
 // real datasets — IMDbG, DBpediaG and WebBG — none of which ship with this
 // repository, so each generator builds a scaled synthetic graph with the
-// same *label topology and cardinality semantics* (see DESIGN.md §4):
+// same *label topology and cardinality semantics*:
 // effective boundedness depends only on which access constraints hold, and
 // the generators enforce every published constraint by construction.
 //

@@ -99,7 +99,7 @@ func TestGenerateSized(t *testing.T) {
 // TestBoundedFractionReasonable: a healthy share of random queries should
 // be effectively bounded on each dataset (the paper reports ~60% for
 // subgraph and ~33% for simulation; we assert a loose sanity band and
-// record exact values in EXPERIMENTS.md).
+// log the exact values).
 func TestBoundedFractionReasonable(t *testing.T) {
 	for _, d := range small(t) {
 		qs := DefaultQueryGen.Generate(d, 100, 2024)
