@@ -81,12 +81,15 @@ type ExecConfig struct {
 	Ctx context.Context
 	// Shards, when non-empty, evaluates the plan scatter/gather over a
 	// sharded store's pinned cut: every index probe looks up each
-	// shard's row partition and merges the (ascending, disjoint)
-	// results back into exactly the global entry, while label, value
-	// and edge-direction checks route to the node's owner shard — the
-	// answer is bit-identical to the unsharded run. The g and idx
-	// arguments of ExecWith are ignored (and may be nil); ShardOf must
-	// be set to the router's node→shard map.
+	// shard's row partition, whose ascending, disjoint parts together
+	// are exactly the global entry. Edge verification consumes the parts
+	// unmerged (its edge keys are sorted afterwards); the fetch phase,
+	// whose candidate order numbers GQ, merges them into a reused
+	// scratch buffer. Label, value and edge-direction checks route to
+	// the node's owner shard — the answer is bit-identical to the
+	// unsharded run. The g and idx arguments of ExecWith are ignored
+	// (and may be nil); ShardOf must be set to the router's node→shard
+	// map.
 	Shards  []ShardView
 	ShardOf func(graph.NodeID) int
 	// Footprint, when non-nil, records the execution's read set — the
@@ -125,6 +128,7 @@ type ExecScratch struct {
 	keys    []uint64          // verified GQ edges, PackEdge(from, to)
 	keyRows []uint64          // keys bucketed by source, for sortEdgeKeys
 	rowEnd  []int32           // per-source bucket bounds, for sortEdgeKeys
+	probe   probeBuf          // the calling goroutine's probe buffers
 	outs    []shardOut        // per-shard outputs of the parallel branch
 }
 
@@ -302,17 +306,22 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 	}
 
 	// All graph and index access below goes through these accessors, so
-	// the serial and scattered paths share one evaluation loop. A merged
-	// scatter probe counts as ONE index lookup accessing the merged
-	// result — the row partition sums back to the global entry, so the
-	// stats are bit-identical to the unsharded run.
+	// the serial and scattered paths share one evaluation loop. A scatter
+	// probe counts as ONE index lookup accessing the sum of its parts —
+	// the row partition sums back to the global entry, so the stats are
+	// bit-identical to the unsharded run.
 	var (
 		rd       reader
 		interner *graph.Interner
 		idCap    int
 	)
 	if shards == nil {
-		rd.lookup = func(ci int, tuple []graph.NodeID) []graph.NodeID { return idx.Index(ci).Lookup(tuple) }
+		rd.probe = func(ci int, tuple []graph.NodeID, dst [][]graph.NodeID) [][]graph.NodeID {
+			if r := idx.Index(ci).Lookup(tuple); len(r) > 0 {
+				dst = append(dst, r)
+			}
+			return dst
+		}
 		rd.matches = func(u pattern.Node, v graph.NodeID) bool { return p.Q.MatchesNode(u, g, v) }
 		rd.labelOf = g.LabelOf
 		rd.valueOf = g.ValueOf
@@ -324,31 +333,13 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 		idCap = g.Cap()
 	} else {
 		home := func(v graph.NodeID) *ShardView { return &shards[shardOf(v)] }
-		rd.lookup = func(ci int, tuple []graph.NodeID) []graph.NodeID {
-			// Most entries' rows hash to one shard, so the common probe
-			// finds at most one non-empty part — returned as-is (shared,
-			// not copied) with no slice-of-parts allocation. The parts
-			// slice materializes only when a real merge is needed.
-			var first []graph.NodeID
-			var parts [][]graph.NodeID
+		rd.probe = func(ci int, tuple []graph.NodeID, dst [][]graph.NodeID) [][]graph.NodeID {
 			for i := range shards {
-				r := shards[i].Idx.Index(ci).Lookup(tuple)
-				if len(r) == 0 {
-					continue
+				if r := shards[i].Idx.Index(ci).Lookup(tuple); len(r) > 0 {
+					dst = append(dst, r)
 				}
-				if first == nil {
-					first = r
-					continue
-				}
-				if parts == nil {
-					parts = append(make([][]graph.NodeID, 0, len(shards)), first)
-				}
-				parts = append(parts, r)
 			}
-			if parts == nil {
-				return first
-			}
-			return mergeAscending(parts)
+			return dst
 		}
 		rd.matches = func(u pattern.Node, v graph.NodeID) bool { return p.Q.MatchesNode(u, home(v).G, v) }
 		rd.labelOf = func(v graph.NodeID) graph.Label { return home(v).G.LabelOf(v) }
@@ -414,7 +405,7 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 			result = scratch.refetch[:0]
 		}
 		if op.Deps == nil {
-			vs := rd.lookup(op.CIdx, nil)
+			vs := rd.lookup(op.CIdx, nil, &scratch.probe)
 			stats.IndexLookups++
 			stats.NodesAccessed += len(vs)
 			chk := strideChecker{ctx: ctx}
@@ -458,7 +449,7 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 					}
 				}
 			} else {
-				out := shardOut{nodes: result}
+				out := shardOut{nodes: result, probeBuf: scratch.probe}
 				chk := strideChecker{ctx: ctx}
 				scratch.forEachTuple(cmat, op.Deps, func(tuple []graph.NodeID) bool {
 					if chk.cancelled() {
@@ -467,7 +458,7 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 					rd.fetchTuple(op, tuple, seen, &out)
 					return true
 				})
-				result = out.nodes
+				result, scratch.probe = out.nodes, out.probeBuf
 				if err := ctxErr(); err != nil {
 					return nil, nil, cancelFetch(result)
 				}
@@ -613,7 +604,7 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 				keys = append(keys, o.edges...)
 			}
 		} else {
-			out := shardOut{edges: keys}
+			out := shardOut{edges: keys, probeBuf: scratch.probe}
 			chk := strideChecker{ctx: ctx}
 			scratch.forEachTuple(cmat, ec.Deps, func(tuple []graph.NodeID) bool {
 				if chk.cancelled() {
@@ -622,7 +613,7 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 				rd.verifyTuple(&vc, tuple, &out)
 				return true
 			})
-			keys = out.edges
+			keys, scratch.probe = out.edges, out.probeBuf
 			if err := ctxErr(); err != nil {
 				return nil, nil, cancelVerify()
 			}
@@ -641,19 +632,47 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 
 // reader is ExecWith's access to the data. All graph and index reads go
 // through it, so the serial and scattered paths share one evaluation loop.
+// probe appends to dst the non-empty parts of tuple's entry under
+// constraint ci: the entry itself unsharded, else each shard's row
+// partition of it. The parts are ascending and pairwise disjoint, and
+// together they are exactly the global entry.
 type reader struct {
-	lookup  func(ci int, tuple []graph.NodeID) []graph.NodeID
+	probe   func(ci int, tuple []graph.NodeID, dst [][]graph.NodeID) [][]graph.NodeID
 	matches func(u pattern.Node, v graph.NodeID) bool
 	labelOf func(v graph.NodeID) graph.Label
 	valueOf func(v graph.NodeID) graph.Value
 	hasEdge func(from, to graph.NodeID) bool
 }
 
+// probeBuf is one goroutine's reusable probe buffers: the parts of the
+// entry being probed and, when there are several, their merge.
+type probeBuf struct {
+	parts  [][]graph.NodeID
+	merged []graph.NodeID
+}
+
+// lookup returns tuple's entry under constraint ci in ascending order. A
+// single part is returned as-is (shared, not copied); several are merged
+// into buf.merged, so the result is valid until buf's next use.
+func (rd *reader) lookup(ci int, tuple []graph.NodeID, buf *probeBuf) []graph.NodeID {
+	buf.parts = rd.probe(ci, tuple, buf.parts[:0])
+	switch len(buf.parts) {
+	case 0:
+		return nil
+	case 1:
+		return buf.parts[0]
+	}
+	buf.merged = mergeAscending(buf.merged[:0], buf.parts)
+	return buf.merged
+}
+
 // fetchTuple is one fetch-phase probe: the members of tuple's entry under
 // op's constraint that match op's pattern node are appended to out.nodes —
-// all of them, or, with seen non-nil, the ones seen admits.
+// all of them, or, with seen non-nil, the ones seen admits. The entry is
+// walked in ascending order, which fixes the candidates' order and so
+// GQ's numbering.
 func (rd *reader) fetchTuple(op FetchOp, tuple []graph.NodeID, seen *graph.DenseSet, out *shardOut) {
-	vs := rd.lookup(op.CIdx, tuple)
+	vs := rd.lookup(op.CIdx, tuple, &out.probeBuf)
 	out.lookups++
 	out.accessed += len(vs)
 	for _, v := range vs {
@@ -677,60 +696,62 @@ type verifyCheck struct {
 // verifyTuple is one verification-phase probe: every member of tuple's
 // entry that is a target candidate and, with the tuple's other endpoint,
 // forms a real edge in the check's direction has that edge's packed GQ
-// key appended to out.edges.
+// key appended to out.edges. The keys are sorted and compacted after
+// verification, so the entry's parts are walked in place, unmerged.
 func (rd *reader) verifyTuple(vc *verifyCheck, tuple []graph.NodeID, out *shardOut) {
-	cands := rd.lookup(vc.ec.CIdx, tuple)
+	out.parts = rd.probe(vc.ec.CIdx, tuple, out.parts[:0])
 	out.lookups++
-	out.accessed += len(cands)
 	vo := tuple[vc.oi]
-	for _, vt := range cands {
-		if !vc.target.Has(vt) {
-			continue
-		}
-		vf, vtto := vt, vo
-		if vc.ec.Target == vc.ec.To {
-			vf, vtto = vo, vt
-		}
-		// The index certifies neighborship; confirm direction on the
-		// fetched pair (an O(1) check).
-		if rd.hasEdge(vf, vtto) {
-			out.edges = append(out.edges, graph.PackEdge(graph.NodeID(vc.remap[vf]-1), graph.NodeID(vc.remap[vtto]-1)))
+	for _, cands := range out.parts {
+		out.accessed += len(cands)
+		for _, vt := range cands {
+			if !vc.target.Has(vt) {
+				continue
+			}
+			vf, vtto := vt, vo
+			if vc.ec.Target == vc.ec.To {
+				vf, vtto = vo, vt
+			}
+			// The index certifies neighborship; confirm direction on the
+			// fetched pair (an O(1) check).
+			if rd.hasEdge(vf, vtto) {
+				out.edges = append(out.edges, graph.PackEdge(graph.NodeID(vc.remap[vf]-1), graph.NodeID(vc.remap[vtto]-1)))
+			}
 		}
 	}
 }
 
-// mergeAscending merges ascending, pairwise-disjoint node-ID slices into
-// one ascending slice — reassembling a row-partitioned index entry into
-// exactly the global entry. With zero or one non-empty part no merge is
-// needed; the single part is returned as-is (shared, not copied), so the
-// common case of an entry whose members all hash to one shard is free.
-func mergeAscending(parts [][]graph.NodeID) []graph.NodeID {
-	switch len(parts) {
-	case 0:
-		return nil
-	case 1:
-		return parts[0]
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	merged := make([]graph.NodeID, 0, total)
-	pos := make([]int, len(parts))
-	for len(merged) < total {
-		best := -1
+// mergeAscending appends to dst the ascending merge of parts — ascending,
+// pairwise-disjoint node-ID slices, reassembled into exactly the global
+// entry they partition. It advances the part headers in place as it
+// consumes them, so it needs no position array; the elements are never
+// written.
+func mergeAscending(dst []graph.NodeID, parts [][]graph.NodeID) []graph.NodeID {
+	for {
+		best, next := -1, -1 // the parts with the smallest and second-smallest heads
 		for i, p := range parts {
-			if pos[i] >= len(p) {
-				continue
-			}
-			if best < 0 || p[pos[i]] < parts[best][pos[best]] {
-				best = i
+			switch {
+			case len(p) == 0:
+			case best < 0 || p[0] < parts[best][0]:
+				best, next = i, best
+			case next < 0 || p[0] < parts[next][0]:
+				next = i
 			}
 		}
-		merged = append(merged, parts[best][pos[best]])
-		pos[best]++
+		if best < 0 {
+			return dst
+		}
+		// best's run below the next-smallest head goes in one piece.
+		p, n := parts[best], len(parts[best])
+		if next >= 0 {
+			n = 1
+			for n < len(p) && p[n] < parts[next][0] {
+				n++
+			}
+		}
+		dst = append(dst, p[:n]...)
+		parts[best] = p[n:]
 	}
-	return merged
 }
 
 // numTuples returns the size of the cartesian product of the candidate
@@ -747,11 +768,13 @@ func numTuples(cmat [][]graph.NodeID, deps []pattern.Node) int {
 }
 
 // shardOut is one shard's contribution to a fetch or verification phase,
-// in enumeration order. edges holds packed GQ edge keys.
+// in enumeration order, plus the probe buffers of the goroutine filling
+// it. edges holds packed GQ edge keys.
 type shardOut struct {
 	nodes             []graph.NodeID
 	edges             []uint64
 	lookups, accessed int
+	probeBuf
 }
 
 // shardTuples splits the cartesian product of deps' candidate sets into
@@ -777,7 +800,7 @@ func (s *ExecScratch) shardTuples(ctx context.Context, cmat [][]graph.NodeID, de
 			defer wg.Done()
 			// Accumulate locally; one store at the end keeps shards off
 			// each other's cache lines.
-			local := shardOut{nodes: outs[c].nodes[:0], edges: outs[c].edges[:0]}
+			local := shardOut{nodes: outs[c].nodes[:0], edges: outs[c].edges[:0], probeBuf: outs[c].probeBuf}
 			chk := strideChecker{ctx: ctx}
 			forEachTupleRange(cmat, deps, lo, hi, make([]graph.NodeID, len(deps)), func(tuple []graph.NodeID) bool {
 				if chk.cancelled() {

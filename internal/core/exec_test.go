@@ -423,3 +423,39 @@ func TestBoundedSimEqualsDirectProperty(t *testing.T) {
 		t.Fatalf("no seed produced a bounded case; generator broken")
 	}
 }
+
+// TestMergeAscendingPartitions holds mergeAscending to the sorted union of
+// random row partitions — 1 to 5 parts, some empty, into a dst that
+// already holds a prefix — and checks it never writes a part's elements.
+func TestMergeAscendingPartitions(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		k := 1 + r.Intn(5)
+		parts := make([][]graph.NodeID, k)
+		var want []graph.NodeID
+		for v := graph.NodeID(0); v < graph.NodeID(r.Intn(60)); v++ {
+			if r.Intn(3) == 0 {
+				continue
+			}
+			i := r.Intn(k)
+			if trial%2 == 0 {
+				i = int(v) * k / 60 // long runs per part
+			}
+			parts[i] = append(parts[i], v)
+			want = append(want, v)
+		}
+		headers, copies := make([][]graph.NodeID, k), make([][]graph.NodeID, k)
+		for i, p := range parts {
+			headers[i], copies[i] = p, append([]graph.NodeID(nil), p...)
+		}
+		got := mergeAscending([]graph.NodeID{-1}, parts)
+		if !reflect.DeepEqual(got, append([]graph.NodeID{-1}, want...)) {
+			t.Fatalf("trial %d: merge of %v = %v, want %v", trial, copies, got[1:], want)
+		}
+		for i := range headers {
+			if !reflect.DeepEqual(headers[i], copies[i]) {
+				t.Fatalf("trial %d: part %d written: %v, was %v", trial, i, headers[i], copies[i])
+			}
+		}
+	}
+}

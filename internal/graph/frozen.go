@@ -1,6 +1,9 @@
 package graph
 
-import "slices"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // Frozen is a read-only CSR-style snapshot of a Graph: adjacency lives in
 // two flat arrays (out- and in-edges) with per-node offsets, and each
@@ -16,12 +19,16 @@ import "slices"
 // Under live updates, Refresh derives the next snapshot from the previous
 // one in time proportional to the rows that changed (|NbG(ΔG)|, not |G|):
 // changed rows live in small per-epoch patch maps chained onto the shared
-// base arrays, and lookups consult the chain newest-first. The chain is
-// flattened when it grows deep and fully re-frozen when the patched
-// fraction of the ID space gets large, so lookup overhead and amortized
-// refresh cost both stay bounded.
+// base arrays. A bitset shared by the whole chain marks every base row any
+// layer has patched; a lookup of an unmarked row reads the base arrays
+// directly, so rows no write touched cost what they cost before the first
+// write, and only marked rows (and rows inserted past the base) consult
+// the chain newest-first. The chain is flattened when it grows deep and
+// fully re-frozen when the patched fraction of the ID space gets large, so
+// lookup overhead and amortized refresh cost both stay bounded.
 type Frozen struct {
-	// Base CSR arrays; populated only on the chain root.
+	// Base CSR arrays: the chain root's, shared by every layer above it,
+	// so a row no layer patched is read from f's own fields.
 	outStart []int32
 	outAdj   []NodeID
 	inStart  []int32
@@ -34,6 +41,15 @@ type Frozen struct {
 	// walks half the probes two maps would cost.
 	parent *Frozen
 	patch  map[NodeID]patchRow
+
+	// dirty is the bitset of base rows that some layer descended from the
+	// root has patched: shared by every layer, allocated by the first
+	// Refresh from the root, nil on a root. Bits are only ever set, and
+	// set before the layer that patches the row is returned, so a clear
+	// bit proves that no layer of this snapshot's chain holds the row. A
+	// bit set by a newer layer merely sends an older snapshot down its own
+	// chain, which still answers correctly.
+	dirty []atomic.Uint64
 
 	capN     int // dense ID space of the snapshot (grows with inserts)
 	numEdges int
@@ -49,7 +65,8 @@ type patchRow struct {
 
 // maxPatchDepth bounds the lookup chain: at this depth Refresh merges all
 // patch layers into one, so Out/In never probe more than maxPatchDepth
-// maps before reaching the base arrays.
+// maps before reaching the base arrays, and probe none for a row no layer
+// patched.
 const maxPatchDepth = 8
 
 // refreezeMinRows is the patched-row floor below which Refresh never falls
@@ -181,7 +198,9 @@ func labelRows(labels []Label, backing []NodeID) map[Label][]NodeID {
 // and negative entries are ignored.
 //
 // Cost is O(Σ degree(rows)) plus amortized LSM-style compaction of the
-// patch chain (O(log patched) re-copies per row). When the cumulative patched rows exceed
+// patch chain (O(log patched) re-copies per row), plus, on the first
+// refresh from a freshly frozen root, one |V|/64-word allocation for the
+// chain's patched-row bitset. When the cumulative patched rows exceed
 // a quarter of the ID space the refresh amortizes into a full Freeze —
 // by then Ω(|V|/4) row-work has been paid in, so the O(|G|) rebuild stays
 // proportional to the update work that provoked it. f is not modified;
@@ -192,11 +211,19 @@ func (f *Frozen) Refresh(g *Graph, rows []NodeID) *Frozen {
 		return g.Freeze()
 	}
 	nf := &Frozen{
+		outStart: f.outStart,
+		outAdj:   f.outAdj,
+		inStart:  f.inStart,
+		inAdj:    f.inAdj,
 		parent:   f,
 		patch:    make(map[NodeID]patchRow, len(rows)),
+		dirty:    f.dirty,
 		capN:     capN,
 		numEdges: g.NumEdges(),
 		depth:    f.depth + 1,
+	}
+	if f.parent == nil {
+		nf.dirty = make([]atomic.Uint64, (len(f.outStart)-1+63)/64)
 	}
 	for _, v := range rows {
 		if v < 0 || int(v) >= capN {
@@ -206,6 +233,9 @@ func (f *Frozen) Refresh(g *Graph, rows []NodeID) *Frozen {
 			continue
 		}
 		nf.patch[v] = patchRow{out: sortedCopy(g.Out(v)), in: sortedCopy(g.In(v))}
+		if w := int(v) >> 6; w < len(nf.dirty) {
+			nf.dirty[w].Or(1 << (v & 63))
+		}
 	}
 	nf.patched = f.patched + len(nf.patch)
 	if nf.depth >= maxPatchDepth {
@@ -256,47 +286,58 @@ func sortedCopy(run []NodeID) []NodeID {
 func (f *Frozen) Cap() int { return f.capN }
 
 // Out returns the sorted out-neighbors of v. The slice aliases the
-// snapshot; do not mutate it.
+// snapshot; do not mutate it. A row no layer patched is one slice of the
+// base arrays, whatever the chain's depth; only a marked row walks the
+// chain newest-first.
 func (f *Frozen) Out(v NodeID) []NodeID {
-	if v < 0 || int(v) >= f.capN {
-		return nil
-	}
-	p := f
-	for p.parent != nil {
-		if row, ok := p.patch[v]; ok {
-			return row.out
+	if f.parent != nil && f.marked(v) {
+		for p := f; p.parent != nil; p = p.parent {
+			if row, ok := p.patch[v]; ok {
+				return row.out
+			}
 		}
-		p = p.parent
 	}
-	if int(v) >= len(p.outStart)-1 {
-		return nil // inserted after the base was frozen, never patched
+	if uint(v) >= uint(len(f.outStart)-1) {
+		return nil // out of range, or inserted after the base was frozen and never patched
 	}
-	return p.outAdj[p.outStart[v]:p.outStart[v+1]]
+	return f.outAdj[f.outStart[v]:f.outStart[v+1]]
 }
 
-// In returns the sorted in-neighbors of v. The slice aliases the snapshot;
-// do not mutate it.
+// In returns the sorted in-neighbors of v, found as Out finds v's
+// out-neighbors. The slice aliases the snapshot; do not mutate it.
 func (f *Frozen) In(v NodeID) []NodeID {
-	if v < 0 || int(v) >= f.capN {
-		return nil
-	}
-	p := f
-	for p.parent != nil {
-		if row, ok := p.patch[v]; ok {
-			return row.in
+	if f.parent != nil && f.marked(v) {
+		for p := f; p.parent != nil; p = p.parent {
+			if row, ok := p.patch[v]; ok {
+				return row.in
+			}
 		}
-		p = p.parent
 	}
-	if int(v) >= len(p.inStart)-1 {
+	if uint(v) >= uint(len(f.inStart)-1) {
 		return nil
 	}
-	return p.inAdj[p.inStart[v]:p.inStart[v+1]]
+	return f.inAdj[f.inStart[v]:f.inStart[v+1]]
+}
+
+// marked reports whether a layer of f's chain may hold row v: v's bit is
+// set, or v lies past the bitset (inserted after the base, or out of
+// range — a layer's map holds only IDs below its capN, so the walk then
+// finds nothing and the base bound answers).
+func (f *Frozen) marked(v NodeID) bool {
+	w := uint(v) >> 6
+	return w >= uint(len(f.dirty)) || f.dirty[w].Load()&(1<<(uint(v)&63)) != 0
 }
 
 // HasEdge reports whether the directed edge (from, to) exists, by binary
-// search in from's sorted out-run.
+// search in from's sorted out-run. Out's base-row path is spelled out
+// here, so a direction check on a row no layer patched makes no call.
 func (f *Frozen) HasEdge(from, to NodeID) bool {
-	run := f.Out(from)
+	var run []NodeID
+	if f.parent != nil && f.marked(from) {
+		run = f.Out(from)
+	} else if uint(from) < uint(len(f.outStart)-1) {
+		run = f.outAdj[f.outStart[from]:f.outStart[from+1]]
+	}
 	lo, hi := 0, len(run)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

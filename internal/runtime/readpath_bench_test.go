@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"boundedg/internal/access"
@@ -10,6 +11,7 @@ import (
 	"boundedg/internal/match"
 	"boundedg/internal/pattern"
 	"boundedg/internal/runtime"
+	"boundedg/internal/shard"
 	"boundedg/internal/store"
 	"boundedg/internal/workload"
 )
@@ -64,28 +66,101 @@ func completeBounded(q *pattern.Pattern, sem core.Semantics, g *graph.Graph, idx
 	return err == nil && res.Completed
 }
 
+// readPathSource rebuilds the pool's graph and index set and serves them
+// from one store (shards 1) or from a router over that many shards, with
+// writePairs accepted add-edge/delete-edge pairs applied first. The pairs
+// leave the graph's edge set as it was, but every store behind the source
+// has refreshed its Frozen snapshot once per accepted write, so reads go
+// through a live patch chain.
+func readPathSource(tb testing.TB, shards, writePairs int) runtime.Source {
+	tb.Helper()
+	ds := workload.IMDb(1, 1)
+	idx, viols := access.Build(ds.G, ds.Schema)
+	if viols != nil {
+		tb.Fatalf("generated graph violates its schema: %v", viols[0])
+	}
+	// Draw the candidate edges before a router consumes the graph. An
+	// edge the graph already has is never drawn: re-adding it is accepted
+	// as a no-op, and its compensating delete would remove it for good.
+	nodes := ds.G.NodeList()
+	r := rand.New(rand.NewSource(1))
+	var cands [][2]graph.NodeID
+	for len(cands) < 50*writePairs {
+		e := [2]graph.NodeID{nodes[r.Intn(len(nodes))], nodes[r.Intn(len(nodes))]}
+		if e[0] != e[1] && !ds.G.HasEdge(e[0], e[1]) {
+			cands = append(cands, e)
+		}
+	}
+	var src runtime.Source = store.New(ds.G, idx)
+	if shards > 1 {
+		rt, err := shard.New(ds.G, idx, shards)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		src = rt
+	}
+	accepted := 0
+	for _, e := range cands {
+		if accepted == writePairs {
+			break
+		}
+		if _, err := src.Apply(&graph.Delta{AddEdges: [][2]graph.NodeID{e}}); err != nil {
+			continue // the schema refuses the edge
+		}
+		if _, err := src.Apply(&graph.Delta{DelEdges: [][2]graph.NodeID{e}}); err != nil {
+			tb.Fatalf("deleting the edge just added: %v", err)
+		}
+		accepted++
+	}
+	if accepted < writePairs {
+		tb.Fatalf("only %d of %d write pairs accepted", accepted, writePairs)
+	}
+	return src
+}
+
 // BenchmarkReadPath is one read.cold query through Engine.Eval: plan
 // (cached), fetch GQ through the indexes, match inside GQ. One op is one
 // query, cycling through the pool; run with -benchmem to see the per-query
-// allocation count the GQ build is held to.
+// allocation count the GQ build is held to. The sub-benchmarks serve the
+// pool from one store or from two shards, either freshly built or after
+// 400 accepted add-edge/delete-edge pairs, so that every Frozen snapshot
+// the reads consult carries a patch chain.
 func BenchmarkReadPath(b *testing.B) {
-	g, idx, pool := readPathPool(b)
-	eng, err := runtime.NewFromStore(store.New(g, idx), runtime.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	ctx := context.Background()
-	for _, q := range pool { // warm the plan cache and the scratch pool
-		if r := eng.Eval(ctx, q); r.Err != nil {
-			b.Fatal(r.Err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := eng.Eval(ctx, pool[i%len(pool)]); r.Err != nil {
-			b.Fatal(r.Err)
+	_, _, pool := readPathPool(b)
+	for _, shape := range []struct {
+		name   string
+		shards int
+	}{{"unsharded", 1}, {"shards2", 2}} {
+		for _, state := range []struct {
+			name       string
+			writePairs int
+		}{{"fresh", 0}, {"afterWrites", 400}} {
+			var eng *runtime.Engine // built once, on the first of b.Run's calls
+			b.Run(shape.name+"/"+state.name, func(b *testing.B) {
+				if eng == nil {
+					var err error
+					eng, err = runtime.NewFromSource(readPathSource(b, shape.shards, state.writePairs), runtime.Config{})
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				ctx := context.Background()
+				for _, q := range pool { // warm the plan cache and the scratch pool
+					if r := eng.Eval(ctx, q); r.Err != nil {
+						b.Fatal(r.Err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if r := eng.Eval(ctx, pool[i%len(pool)]); r.Err != nil {
+						b.Fatal(r.Err)
+					}
+				}
+			})
+			if eng != nil {
+				eng.Close()
+			}
 		}
 	}
 }
@@ -95,21 +170,41 @@ func BenchmarkReadPath(b *testing.B) {
 // times for every pool pattern with a non-empty GQ, from the one with the
 // fewest GQ edges (a GQ of nodes only still runs the whole build) to the
 // one with at least ten times as many — O(1) in |E(GQ)|, not one
-// allocation per edge.
+// allocation per edge. It holds on one store and on a 2-shard cut, where a
+// probe's parts are consumed in place or merged into scratch, never into
+// a fresh slice.
 func TestReadPathAllocsFlatInGQ(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the scale-1 benchmark pool")
 	}
 	g, idx, pool := readPathPool(t)
+	checkAllocsFlat(t, "unsharded", pool, idx.Schema(), g, idx, core.ExecConfig{})
+
+	rt := readPathSource(t, 2, 0).(*shard.Router)
+	cut := rt.AcquireCut()
+	defer cut.Release()
+	sharded := core.ExecConfig{ShardOf: cut.ShardOf}
+	for _, sn := range cut.Snaps {
+		sharded.Shards = append(sharded.Shards, core.ShardView{G: sn.G, Fz: sn.Fz, Idx: sn.Idx})
+	}
+	checkAllocsFlat(t, "shards2", pool, rt.Schema(), nil, nil, sharded)
+}
+
+// checkAllocsFlat runs TestReadPathAllocsFlatInGQ's check over pool: each
+// pattern executes against g and idx under a copy of proto with a scratch
+// of its own.
+func checkAllocsFlat(t *testing.T, name string, pool []runtime.Query, schema *access.Schema, g *graph.Graph, idx *access.IndexSet, proto core.ExecConfig) {
+	t.Helper()
 	const maxAllocs = 40
 	var fewest, most, wantAllocs int
 	for i, q := range pool {
-		p, err := core.NewPlan(q.Pattern, idx.Schema(), q.Sem)
+		p, err := core.NewPlan(q.Pattern, schema, q.Sem)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := &core.ExecConfig{Scratch: core.NewExecScratch()}
-		_, st, err := p.ExecWith(g, idx, cfg) // warms the scratch
+		cfg := proto
+		cfg.Scratch = core.NewExecScratch()
+		_, st, err := p.ExecWith(g, idx, &cfg) // warms the scratch
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +212,7 @@ func TestReadPathAllocsFlatInGQ(t *testing.T) {
 			continue
 		}
 		allocs := int(testing.AllocsPerRun(10, func() {
-			if _, _, err := p.ExecWith(g, idx, cfg); err != nil {
+			if _, _, err := p.ExecWith(g, idx, &cfg); err != nil {
 				t.Fatal(err)
 			}
 		}))
@@ -125,12 +220,12 @@ func TestReadPathAllocsFlatInGQ(t *testing.T) {
 			fewest, most, wantAllocs = st.GQEdges, st.GQEdges, allocs
 		}
 		if allocs != wantAllocs || allocs > maxAllocs {
-			t.Fatalf("pool pattern %d (%d GQ edges): %d allocs, others %d; want equal and at most %d", i, st.GQEdges, allocs, wantAllocs, maxAllocs)
+			t.Fatalf("%s: pool pattern %d (%d GQ edges): %d allocs, others %d; want equal and at most %d", name, i, st.GQEdges, allocs, wantAllocs, maxAllocs)
 		}
 		fewest, most = min(fewest, st.GQEdges), max(most, st.GQEdges)
 	}
 	if most < 10*max(fewest, 1) {
-		t.Fatalf("pool GQ edge counts span %d..%d, not 10x", fewest, most)
+		t.Fatalf("%s: pool GQ edge counts span %d..%d, not 10x", name, fewest, most)
 	}
-	t.Logf("%d allocs per ExecWith for GQ edge counts %d..%d", wantAllocs, fewest, most)
+	t.Logf("%s: %d allocs per ExecWith for GQ edge counts %d..%d", name, wantAllocs, fewest, most)
 }
