@@ -18,7 +18,6 @@
 package boundedg
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -28,7 +27,6 @@ import (
 	"boundedg/internal/graph"
 	"boundedg/internal/match"
 	"boundedg/internal/pattern"
-	"boundedg/internal/runtime"
 	"boundedg/internal/workload"
 )
 
@@ -359,134 +357,4 @@ func BenchmarkIncrementalMaintenance(b *testing.B) {
 			}
 		}
 	})
-}
-
-// ---- parallel runtime scaling benches ----
-
-// engineEnv is the runtime fixture: the same full-scale IMDb graph and
-// index shapes as benchEnv, with the heavier 100-query load the engine
-// throughput tables in cmd/benchrunner (-exp engine) report on.
-var (
-	engineEnvOnce sync.Once
-	engineEnvVal  benchEnv
-)
-
-func getEngineEnv(b *testing.B) *benchEnv {
-	engineEnvOnce.Do(func() { engineEnvVal = buildBenchEnv(100) })
-	return requireEnv(b, &engineEnvVal)
-}
-
-// engineQueries builds the mixed bounded workload (both semantics, plans
-// pre-built) served to the engine and to the serial baseline loop.
-func engineQueries(e *benchEnv, mopt match.SubgraphOptions) []runtime.Query {
-	qs := make([]runtime.Query, 0, len(e.subPlans)+len(e.simPlans))
-	for _, p := range e.subPlans {
-		qs = append(qs, runtime.Query{Pattern: p.Q, Sem: core.Subgraph, Sub: mopt, Plan: p})
-	}
-	for _, p := range e.simPlans {
-		qs = append(qs, runtime.Query{Pattern: p.Q, Sem: core.Simulation, Plan: p})
-	}
-	return qs
-}
-
-// BenchmarkEngineThroughput compares batch throughput of the parallel
-// runtime against the serial evaluation loop on the standard bounded
-// workload: "serial" plans+evaluates one query at a time through the
-// baseline Plan.Exec path; "workers=N" serves the same batch through a
-// runtime.Engine limited to N concurrent queries (frozen snapshots,
-// pooled scratch). One op = one full batch.
-func BenchmarkEngineThroughput(b *testing.B) {
-	// Near-full enumeration (the paper's exact Q(G) configuration, like
-	// exp.Default): the matching phase inside GQ is a real cost, which is
-	// exactly what the engine's frozen-snapshot path accelerates.
-	mopt := match.SubgraphOptions{MaxMatches: 200_000}
-	b.Run("serial", func(b *testing.B) {
-		e := getEngineEnv(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, p := range e.subPlans {
-				if _, _, err := p.EvalSubgraph(e.d.G, e.idx, mopt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, p := range e.simPlans {
-				if _, _, err := p.EvalSim(e.d.G, e.idx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := getEngineEnv(b)
-			queries := engineQueries(e, mopt)
-			eng, err := runtime.New(e.d.G, e.idx, runtime.Config{Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, r := range eng.EvalBatch(nil, queries) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelExec measures one query's fetch phase as intra-query
-// sharding scales: serial Plan.Exec versus ExecWith at increasing worker
-// counts over a frozen snapshot.
-func BenchmarkParallelExec(b *testing.B) {
-	e := getEnv(b)
-	p := e.subPlans[0]
-	for _, pl := range e.subPlans {
-		if pl.EstGQNodes() > p.EstGQNodes() {
-			p = pl // largest fetch = most tuples to shard
-		}
-	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := p.Exec(e.d.G, e.idx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	fz := e.d.G.Freeze()
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := &core.ExecConfig{Workers: workers, Frozen: fz, Scratch: core.NewExecScratch()}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := p.ExecWith(e.d.G, e.idx, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGSimParallel measures full-graph simulation as the
-// initialization phases are sharded (the fixpoint stays serial).
-func BenchmarkGSimParallel(b *testing.B) {
-	e := getEnv(b)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range e.simQs {
-				match.GSim(q, e.d.G)
-			}
-		}
-	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, q := range e.simQs {
-					match.GSimParallel(q, e.d.G, workers)
-				}
-			}
-		})
-	}
 }

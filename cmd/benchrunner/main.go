@@ -23,19 +23,18 @@ import (
 
 func main() {
 	var (
-		expName  = flag.String("exp", "all", "experiment: bounded-pct, fig5-varyg, fig5-varyq, fig5-varya, fig5-accessed, fig6, exp3, engine, all")
+		expName  = flag.String("exp", "all", "experiment: bounded-pct, fig5-varyg, fig5-varyq, fig5-varya, fig5-accessed, fig6, exp3, all")
 		dataset  = flag.String("dataset", "", "dataset for fig5 experiments: imdb, dbpedia, webbase (empty = all)")
 		n        = flag.Int("n", 0, "queries per load (default 100)")
 		seed     = flag.Int64("seed", 0, "generation seed (default 1)")
 		budget   = flag.Int("budget", 0, "step budget for VF2/optVF2 baselines")
 		matchCap = flag.Int("match-cap", 0, "match-count cap for subgraph algorithms")
 		scales   = flag.String("scales", "", "comma-separated |G| scale factors for fig5-varyg (may exceed 1.0)")
-		workers  = flag.Int("workers", 0, "parallel execution: shard bounded plans and cap the engine's concurrent queries (0/1 = serial)")
 		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
 	)
 	flag.Parse()
 	outCSV = *csvDir
-	opt := exp.Options{NumQueries: *n, Seed: *seed, BaselineSteps: *budget, MatchLimit: *matchCap, Workers: *workers}
+	opt := exp.Options{NumQueries: *n, Seed: *seed, BaselineSteps: *budget, MatchLimit: *matchCap}
 	if *scales != "" {
 		for _, s := range strings.Split(*scales, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
@@ -88,7 +87,7 @@ func run(expName, dataset string, opt exp.Options) error {
 	}
 	names := strings.Split(expName, ",")
 	if expName == "all" {
-		names = []string{"bounded-pct", "fig5-varyg", "fig5-varyq", "fig5-varya", "fig5-accessed", "fig6", "exp3", "ablation", "engine"}
+		names = []string{"bounded-pct", "fig5-varyg", "fig5-varyq", "fig5-varya", "fig5-accessed", "fig6", "exp3", "ablation"}
 	}
 	for _, name := range names {
 		switch strings.TrimSpace(name) {
@@ -173,18 +172,6 @@ func run(expName, dataset string, opt exp.Options) error {
 			}
 			if err := emit(tab); err != nil {
 				return err
-			}
-		case "engine":
-			for _, ds := range datasets {
-				o := opt
-				o.Dataset = ds
-				tab, err := exp.EngineThroughput(o)
-				if err != nil {
-					return err
-				}
-				if err := emit(tab); err != nil {
-					return err
-				}
 			}
 		default:
 			return fmt.Errorf("unknown experiment %q", name)

@@ -55,13 +55,8 @@ type BoundedGraph struct {
 }
 
 // ExecConfig tunes plan execution. The zero value (and a nil *ExecConfig)
-// reproduces the serial defaults.
+// reproduces the defaults.
 type ExecConfig struct {
-	// Workers > 1 shards tuple enumeration in the fetch and
-	// edge-verification phases across that many goroutines. Results are
-	// merged in enumeration order, so execution stays deterministic and
-	// bit-identical to the serial run.
-	Workers int
 	// Frozen, when non-nil, must be a snapshot of the graph being
 	// queried; edge-direction checks then binary-search its sorted
 	// adjacency instead of probing the graph's edge map. Long-lived
@@ -87,17 +82,17 @@ type ExecConfig struct {
 	// whose candidate order numbers GQ, merges them into a reused
 	// scratch buffer. Label, value and edge-direction checks route to
 	// the node's owner shard — the answer is bit-identical to the
-	// unsharded run. The g and idx arguments of ExecWith are ignored
-	// (and may be nil); ShardOf must be set to the router's node→shard
-	// map.
+	// unsharded run. The g and idx arguments of ExecWith and Frozen are
+	// ignored (g and idx may be nil); ShardOf must be set to the
+	// router's node→shard map unless the cut has a single shard.
 	Shards  []ShardView
 	ShardOf func(graph.NodeID) int
 	// Footprint, when non-nil, records the execution's read set — the
 	// rows each plan op resolved to and the type-1 labels it consulted
 	// (see Footprint for why that set determines the answer). Recording
-	// happens only on the calling goroutine, after each op's parallel
-	// phase has merged, so a shared ExecConfig prototype stays safe as
-	// long as the footprint itself serves one execution at a time.
+	// happens once per op, on its final candidates, so a shared
+	// ExecConfig prototype stays safe as long as the footprint itself
+	// serves one execution at a time.
 	Footprint *Footprint
 }
 
@@ -124,12 +119,11 @@ type ExecScratch struct {
 	cset    []*graph.DenseSet // cset[u]: cmat[u] as a set; nil until fetched
 	fetched []bool            // fetched[u]: some op produced cmat[u]
 	refetch []graph.NodeID    // an op's result for an already-fetched node
-	tuple   []graph.NodeID    // the serial enumeration's tuple
+	tuple   []graph.NodeID    // the enumeration's reused tuple
 	keys    []uint64          // verified GQ edges, PackEdge(from, to)
 	keyRows []uint64          // keys bucketed by source, for sortEdgeKeys
 	rowEnd  []int32           // per-source bucket bounds, for sortEdgeKeys
-	probe   probeBuf          // the calling goroutine's probe buffers
-	outs    []shardOut        // per-shard outputs of the parallel branch
+	probe   probeBuf          // the probe buffers
 }
 
 // NewExecScratch returns an empty scratch; buffers are grown on first use.
@@ -211,18 +205,13 @@ func (s *ExecScratch) begin(n int) {
 	}
 }
 
-// minParallelTuples is the fetch/verification work (index probes or
-// filtered candidates) below which sharding is not worth the goroutine
-// handoff.
-const minParallelTuples = 64
-
 // cancelStride is how many enumerated tuples pass between context polls
 // in the fetch and edge-verification loops: coarse enough that polling is
 // free, fine enough that cancellation lands within microseconds.
 const cancelStride = 256
 
 // strideChecker polls a context once every cancelStride calls. The zero
-// ctx means "never cancelled". Each goroutine owns its own checker.
+// ctx means "never cancelled". Each enumeration loop starts its own.
 type strideChecker struct {
 	ctx context.Context
 	n   int
@@ -248,47 +237,30 @@ func (p *Plan) Exec(g *graph.Graph, idx *access.IndexSet) (*BoundedGraph, *ExecS
 }
 
 // ExecWith is Exec with an execution configuration; see ExecConfig. It
-// produces exactly the same BoundedGraph and stats as Exec for any worker
-// count.
+// produces exactly the same BoundedGraph and stats as Exec whatever the
+// configuration, over one graph or over a cut of any number of shards.
 func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (*BoundedGraph, *ExecStats, error) {
-	workers := 1
-	var fz *graph.Frozen
 	var scratch *ExecScratch
 	var ctx context.Context
-	var shards []ShardView
-	var shardOf func(graph.NodeID) int
 	var fp *Footprint
+	// All graph and index access below goes through rd, which reads every
+	// input as a cut: an unsharded call is a 1-shard cut held here.
+	one := [1]ShardView{{G: g, Idx: idx}}
+	rd := reader{q: p.Q, shards: one[:]}
 	if cfg != nil {
-		if cfg.Workers > 1 {
-			workers = cfg.Workers
-		}
-		fz = cfg.Frozen
-		scratch = cfg.Scratch
-		ctx = cfg.Ctx
-		fp = cfg.Footprint
+		scratch, ctx, fp = cfg.Scratch, cfg.Ctx, cfg.Footprint
+		one[0].Fz = cfg.Frozen
 		if len(cfg.Shards) > 0 {
-			shards = cfg.Shards
-			shardOf = cfg.ShardOf
+			rd.shards, rd.shardOf = cfg.Shards, cfg.ShardOf
 		}
 	}
-	if len(shards) == 1 {
-		// A single shard holds the entire graph and the whole index set,
-		// so the scatter/gather accessors would add only closure
-		// indirection and per-probe part collection. Collapse to the
-		// unsharded path — trivially bit-identical.
-		g, idx, fz = shards[0].G, shards[0].Idx, shards[0].Fz
-		shards, shardOf = nil, nil
-	}
-	if shards == nil {
-		if idx == nil || idx.Schema() != p.A {
+	idCap := 0
+	for i := range rd.shards {
+		sv := &rd.shards[i]
+		if sv.Idx == nil || sv.Idx.Schema() != p.A {
 			return nil, nil, ErrSchemaMismatch
 		}
-	} else {
-		for i := range shards {
-			if shards[i].Idx == nil || shards[i].Idx.Schema() != p.A {
-				return nil, nil, ErrSchemaMismatch
-			}
-		}
+		idCap = max(idCap, sv.G.Cap())
 	}
 	// ctxErr reports the sticky cancellation state; nil ctx never cancels.
 	ctxErr := func() error {
@@ -303,60 +275,6 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 	fromPool := scratch == nil
 	if fromPool {
 		scratch = execScratchPool.Get().(*ExecScratch)
-	}
-
-	// All graph and index access below goes through these accessors, so
-	// the serial and scattered paths share one evaluation loop. A scatter
-	// probe counts as ONE index lookup accessing the sum of its parts —
-	// the row partition sums back to the global entry, so the stats are
-	// bit-identical to the unsharded run.
-	var (
-		rd       reader
-		interner *graph.Interner
-		idCap    int
-	)
-	if shards == nil {
-		rd.probe = func(ci int, tuple []graph.NodeID, dst [][]graph.NodeID) [][]graph.NodeID {
-			if r := idx.Index(ci).Lookup(tuple); len(r) > 0 {
-				dst = append(dst, r)
-			}
-			return dst
-		}
-		rd.matches = func(u pattern.Node, v graph.NodeID) bool { return p.Q.MatchesNode(u, g, v) }
-		rd.labelOf = g.LabelOf
-		rd.valueOf = g.ValueOf
-		rd.hasEdge = g.HasEdge
-		if fz != nil {
-			rd.hasEdge = fz.HasEdge
-		}
-		interner = g.Interner()
-		idCap = g.Cap()
-	} else {
-		home := func(v graph.NodeID) *ShardView { return &shards[shardOf(v)] }
-		rd.probe = func(ci int, tuple []graph.NodeID, dst [][]graph.NodeID) [][]graph.NodeID {
-			for i := range shards {
-				if r := shards[i].Idx.Index(ci).Lookup(tuple); len(r) > 0 {
-					dst = append(dst, r)
-				}
-			}
-			return dst
-		}
-		rd.matches = func(u pattern.Node, v graph.NodeID) bool { return p.Q.MatchesNode(u, home(v).G, v) }
-		rd.labelOf = func(v graph.NodeID) graph.Label { return home(v).G.LabelOf(v) }
-		rd.valueOf = func(v graph.NodeID) graph.Value { return home(v).G.ValueOf(v) }
-		rd.hasEdge = func(from, to graph.NodeID) bool {
-			sv := home(from)
-			if sv.Fz != nil {
-				return sv.Fz.HasEdge(from, to)
-			}
-			return sv.G.HasEdge(from, to)
-		}
-		interner = shards[0].G.Interner()
-		for i := range shards {
-			if c := shards[i].G.Cap(); c > idCap {
-				idCap = c
-			}
-		}
 	}
 
 	n := p.Q.NumNodes()
@@ -383,20 +301,17 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 		}
 	}
 
-	// cancelFetch abandons the evaluation mid-fetch-op: partial additions
-	// to seen are restored (they mirror result at every cancellation
-	// point), the candidate sets are released, and the context's sticky
-	// error is returned.
-	cancelFetch := func(result []graph.NodeID) error {
-		seen.ResetSparse(result)
-		releaseCsets()
-		return ctxErr()
-	}
-
 	for _, op := range p.Ops {
 		if err := ctxErr(); err != nil {
 			releaseCsets()
 			return nil, nil, err
+		}
+		// Every dependency must have been fetched by an earlier op.
+		for _, d := range op.Deps {
+			if !fetched[d] {
+				releaseCsets()
+				return nil, nil, fmt.Errorf("core: plan op for %s depends on unfetched node %s", p.Q.Name(op.U), p.Q.Name(d))
+			}
 		}
 		// A first fetch of op.U collects straight into its scratch list; a
 		// re-fetch collects aside and is intersected into it below.
@@ -404,69 +319,32 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 		if fetched[op.U] {
 			result = scratch.refetch[:0]
 		}
-		if op.Deps == nil {
-			vs := rd.lookup(op.CIdx, nil, &scratch.probe)
+		// Union of lookups over the product of dependency candidates (one
+		// empty tuple for a type-1 op). A probe counts as ONE index lookup
+		// accessing the sum of its parts — the row partition sums back to
+		// the global entry, so the stats do not depend on the cut. Each
+		// entry is walked in ascending order, which fixes the candidates'
+		// order and so GQ's numbering.
+		chk := strideChecker{ctx: ctx}
+		scratch.forEachTuple(cmat, op.Deps, func(tuple []graph.NodeID) bool {
+			if chk.cancelled() {
+				return false
+			}
+			vs := rd.lookup(op.CIdx, tuple, &scratch.probe)
 			stats.IndexLookups++
 			stats.NodesAccessed += len(vs)
-			chk := strideChecker{ctx: ctx}
 			for _, v := range vs {
-				if chk.cancelled() {
-					return nil, nil, cancelFetch(result)
-				}
 				if rd.matches(op.U, v) && seen.Add(v) {
 					result = append(result, v)
 				}
 			}
-		} else {
-			// Every dependency must have been fetched by an earlier op.
-			for _, d := range op.Deps {
-				if !fetched[d] {
-					releaseCsets()
-					return nil, nil, fmt.Errorf("core: plan op for %s depends on unfetched node %s", p.Q.Name(op.U), p.Q.Name(d))
-				}
-			}
-			// Union of lookups over the product of dependency candidates,
-			// sharded on the first dependency's candidates when large. One
-			// tuple body serves both branches: serial dedups straight into
-			// result, shards buffer and the in-order merge dedups.
-			if nt := numTuples(cmat, op.Deps); workers > 1 && nt >= minParallelTuples {
-				outs := scratch.shardTuples(ctx, cmat, op.Deps, workers, func(tuple []graph.NodeID, out *shardOut) {
-					rd.fetchTuple(op, tuple, nil, out)
-				})
-				// Check before merging: cancelled shards stopped early, so
-				// their outputs are partial and must be discarded whole.
-				if err := ctxErr(); err != nil {
-					releaseCsets()
-					return nil, nil, err
-				}
-				for _, o := range outs {
-					stats.IndexLookups += o.lookups
-					stats.NodesAccessed += o.accessed
-					for _, v := range o.nodes {
-						if seen.Add(v) {
-							result = append(result, v)
-						}
-					}
-				}
-			} else {
-				out := shardOut{nodes: result, probeBuf: scratch.probe}
-				chk := strideChecker{ctx: ctx}
-				scratch.forEachTuple(cmat, op.Deps, func(tuple []graph.NodeID) bool {
-					if chk.cancelled() {
-						return false
-					}
-					rd.fetchTuple(op, tuple, seen, &out)
-					return true
-				})
-				result, scratch.probe = out.nodes, out.probeBuf
-				if err := ctxErr(); err != nil {
-					return nil, nil, cancelFetch(result)
-				}
-				stats.IndexLookups += out.lookups
-				stats.NodesAccessed += out.accessed
-			}
+			return true
+		})
+		seen.ResetSparse(result) // seen mirrors result, after an abort too
+		if err := ctxErr(); err != nil {
+			releaseCsets()
+			return nil, nil, err
 		}
-		seen.ResetSparse(result)
 		if fetched[op.U] {
 			// Later ops reduce earlier candidate sets (§IV): intersect.
 			scratch.refetch = result
@@ -550,102 +428,124 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 		bg.Cands[ui] = candIDs[lo:len(candIDs):len(candIDs)]
 	}
 	stats.GQNodes = distinct
-	releaseRemap := func() {
+	// release restores the remap table and candidate sets on every exit
+	// from edge verification. seen is empty throughout this phase (it was
+	// drained building GQ), so it needs no repair here.
+	release := func() {
 		for _, v := range bg.ToOrig {
 			remap[v] = 0
 		}
-	}
-	// cancelVerify abandons the evaluation during edge verification: the
-	// verified edges are discarded, the remap table and candidate sets are
-	// restored, and the context's sticky error is returned. seen is empty
-	// throughout this phase (it was drained building GQ), so it needs no
-	// repair here.
-	cancelVerify := func() error {
-		releaseRemap()
 		releaseCsets()
-		return ctxErr()
 	}
 
 	// Edge verification through the covering constraints' indices. Every
 	// verified edge appends its packed GQ key; sorting and compacting the
-	// keys afterwards yields GQ's edge set in CSR order.
+	// keys afterwards yields GQ's edge set in CSR order, so each entry's
+	// parts are walked in place, unmerged.
 	keys := scratch.keys[:0]
 	for _, ec := range p.EdgeChecks {
 		if err := ctxErr(); err != nil {
-			return nil, nil, cancelVerify()
+			release()
+			return nil, nil, err
 		}
-		oi := -1
-		for i, d := range ec.Deps {
-			if d == ec.Other() {
-				oi = i
-				break
-			}
-		}
+		oi := slices.Index(ec.Deps, ec.Other()) // the other endpoint's position in a tuple
 		if oi < 0 {
-			releaseRemap()
-			releaseCsets()
+			release()
 			return nil, nil, fmt.Errorf("core: edge check for (%s, %s) misses its endpoint dependency", p.Q.Name(ec.From), p.Q.Name(ec.To))
 		}
-		vc := verifyCheck{ec: ec, oi: oi, target: cset[ec.Target], remap: remap}
-		// One tuple body serves both branches: serial appends to keys
-		// directly, shards to their own buffers, concatenated afterwards.
-		if nt := numTuples(cmat, ec.Deps); workers > 1 && nt >= minParallelTuples {
-			shared := vc // the shards' own copy; vc stays on the stack
-			outs := scratch.shardTuples(ctx, cmat, ec.Deps, workers, func(tuple []graph.NodeID, out *shardOut) {
-				rd.verifyTuple(&shared, tuple, out)
-			})
-			if err := ctxErr(); err != nil {
-				return nil, nil, cancelVerify()
+		target := cset[ec.Target]
+		chk := strideChecker{ctx: ctx}
+		scratch.forEachTuple(cmat, ec.Deps, func(tuple []graph.NodeID) bool {
+			if chk.cancelled() {
+				return false
 			}
-			for i := range outs {
-				o := &outs[i]
-				stats.IndexLookups += o.lookups
-				stats.EdgesAccessed += o.accessed
-				keys = append(keys, o.edges...)
-			}
-		} else {
-			out := shardOut{edges: keys, probeBuf: scratch.probe}
-			chk := strideChecker{ctx: ctx}
-			scratch.forEachTuple(cmat, ec.Deps, func(tuple []graph.NodeID) bool {
-				if chk.cancelled() {
-					return false
+			parts := rd.probe(ec.CIdx, tuple, scratch.probe.parts[:0])
+			scratch.probe.parts = parts
+			stats.IndexLookups++
+			vo := tuple[oi]
+			for _, cands := range parts {
+				stats.EdgesAccessed += len(cands)
+				for _, vt := range cands {
+					if !target.Has(vt) {
+						continue
+					}
+					vf, vtto := vt, vo
+					if ec.Target == ec.To {
+						vf, vtto = vo, vt
+					}
+					// The index certifies neighborship; confirm direction
+					// on the fetched pair (an O(1) check).
+					if rd.hasEdge(vf, vtto) {
+						keys = append(keys, graph.PackEdge(graph.NodeID(remap[vf]-1), graph.NodeID(remap[vtto]-1)))
+					}
 				}
-				rd.verifyTuple(&vc, tuple, &out)
-				return true
-			})
-			keys, scratch.probe = out.edges, out.probeBuf
-			if err := ctxErr(); err != nil {
-				return nil, nil, cancelVerify()
 			}
-			stats.IndexLookups += out.lookups
-			stats.EdgesAccessed += out.accessed
+			return true
+		})
+		if err := ctxErr(); err != nil {
+			release()
+			return nil, nil, err
 		}
 	}
 	keys = scratch.sortEdgeKeys(keys, distinct)
 	scratch.keys = keys
-	bg.G, bg.Fz = graph.FromSortedEdges(interner, labels, values, keys)
+	bg.G, bg.Fz = graph.FromSortedEdges(rd.shards[0].G.Interner(), labels, values, keys)
 	stats.GQEdges = len(keys)
-	releaseRemap()
-	releaseCsets()
+	release()
 	return bg, stats, nil
 }
 
-// reader is ExecWith's access to the data. All graph and index reads go
-// through it, so the serial and scattered paths share one evaluation loop.
-// probe appends to dst the non-empty parts of tuple's entry under
-// constraint ci: the entry itself unsharded, else each shard's row
-// partition of it. The parts are ascending and pairwise disjoint, and
-// together they are exactly the global entry.
+// reader is ExecWith's access to the data: a cut of one or more shards,
+// each holding a graph, an optional frozen snapshot and its row partition
+// of the index set. An unsharded input is a 1-shard cut, so one type reads
+// both.
 type reader struct {
-	probe   func(ci int, tuple []graph.NodeID, dst [][]graph.NodeID) [][]graph.NodeID
-	matches func(u pattern.Node, v graph.NodeID) bool
-	labelOf func(v graph.NodeID) graph.Label
-	valueOf func(v graph.NodeID) graph.Value
-	hasEdge func(from, to graph.NodeID) bool
+	q       *pattern.Pattern
+	shards  []ShardView
+	shardOf func(graph.NodeID) int // unused on a 1-shard cut
 }
 
-// probeBuf is one goroutine's reusable probe buffers: the parts of the
-// entry being probed and, when there are several, their merge.
+// home returns the shard owning v, which holds v's label, value and full
+// adjacency.
+func (rd *reader) home(v graph.NodeID) *ShardView {
+	if len(rd.shards) == 1 {
+		return &rd.shards[0]
+	}
+	return &rd.shards[rd.shardOf(v)]
+}
+
+// probe appends to dst the non-empty parts of tuple's entry under
+// constraint ci: each shard's row partition of it. The parts are ascending
+// and pairwise disjoint, and together they are exactly the global entry.
+func (rd *reader) probe(ci int, tuple []graph.NodeID, dst [][]graph.NodeID) [][]graph.NodeID {
+	for i := range rd.shards {
+		if r := rd.shards[i].Idx.Index(ci).Lookup(tuple); len(r) > 0 {
+			dst = append(dst, r)
+		}
+	}
+	return dst
+}
+
+func (rd *reader) matches(u pattern.Node, v graph.NodeID) bool {
+	return rd.q.MatchesNode(u, rd.home(v).G, v)
+}
+
+func (rd *reader) labelOf(v graph.NodeID) graph.Label { return rd.home(v).G.LabelOf(v) }
+
+func (rd *reader) valueOf(v graph.NodeID) graph.Value { return rd.home(v).G.ValueOf(v) }
+
+// hasEdge checks the edge on from's owner: by binary search in its frozen
+// snapshot when it has one, else in its graph's edge map.
+func (rd *reader) hasEdge(from, to graph.NodeID) bool {
+	sv := rd.home(from)
+	if sv.Fz != nil {
+		return sv.Fz.HasEdge(from, to)
+	}
+	return sv.G.HasEdge(from, to)
+}
+
+// probeBuf is the reusable probe buffers: the parts of the entry being
+// probed and, when there are several, their merge.
 type probeBuf struct {
 	parts  [][]graph.NodeID
 	merged []graph.NodeID
@@ -664,61 +564,6 @@ func (rd *reader) lookup(ci int, tuple []graph.NodeID, buf *probeBuf) []graph.No
 	}
 	buf.merged = mergeAscending(buf.merged[:0], buf.parts)
 	return buf.merged
-}
-
-// fetchTuple is one fetch-phase probe: the members of tuple's entry under
-// op's constraint that match op's pattern node are appended to out.nodes —
-// all of them, or, with seen non-nil, the ones seen admits. The entry is
-// walked in ascending order, which fixes the candidates' order and so
-// GQ's numbering.
-func (rd *reader) fetchTuple(op FetchOp, tuple []graph.NodeID, seen *graph.DenseSet, out *shardOut) {
-	vs := rd.lookup(op.CIdx, tuple, &out.probeBuf)
-	out.lookups++
-	out.accessed += len(vs)
-	for _, v := range vs {
-		if rd.matches(op.U, v) && (seen == nil || seen.Add(v)) {
-			out.nodes = append(out.nodes, v)
-		}
-	}
-}
-
-// verifyCheck is one edge check's state during verification: oi is the
-// position of the check's other endpoint in its dependency tuple, target
-// the candidate set of its target endpoint, remap the source-to-GQ ID
-// table.
-type verifyCheck struct {
-	ec     EdgeCheck
-	oi     int
-	target *graph.DenseSet
-	remap  []int32
-}
-
-// verifyTuple is one verification-phase probe: every member of tuple's
-// entry that is a target candidate and, with the tuple's other endpoint,
-// forms a real edge in the check's direction has that edge's packed GQ
-// key appended to out.edges. The keys are sorted and compacted after
-// verification, so the entry's parts are walked in place, unmerged.
-func (rd *reader) verifyTuple(vc *verifyCheck, tuple []graph.NodeID, out *shardOut) {
-	out.parts = rd.probe(vc.ec.CIdx, tuple, out.parts[:0])
-	out.lookups++
-	vo := tuple[vc.oi]
-	for _, cands := range out.parts {
-		out.accessed += len(cands)
-		for _, vt := range cands {
-			if !vc.target.Has(vt) {
-				continue
-			}
-			vf, vtto := vt, vo
-			if vc.ec.Target == vc.ec.To {
-				vf, vtto = vo, vt
-			}
-			// The index certifies neighborship; confirm direction on the
-			// fetched pair (an O(1) check).
-			if rd.hasEdge(vf, vtto) {
-				out.edges = append(out.edges, graph.PackEdge(graph.NodeID(vc.remap[vf]-1), graph.NodeID(vc.remap[vtto]-1)))
-			}
-		}
-	}
 }
 
 // mergeAscending appends to dst the ascending merge of parts — ascending,
@@ -754,71 +599,10 @@ func mergeAscending(dst []graph.NodeID, parts [][]graph.NodeID) []graph.NodeID {
 	}
 }
 
-// numTuples returns the size of the cartesian product of the candidate
-// sets of deps (capped to avoid overflow).
-func numTuples(cmat [][]graph.NodeID, deps []pattern.Node) int {
-	t := 1
-	for _, d := range deps {
-		t *= len(cmat[d])
-		if t == 0 || t > 1<<30 {
-			return t
-		}
-	}
-	return t
-}
-
-// shardOut is one shard's contribution to a fetch or verification phase,
-// in enumeration order, plus the probe buffers of the goroutine filling
-// it. edges holds packed GQ edge keys.
-type shardOut struct {
-	nodes             []graph.NodeID
-	edges             []uint64
-	lookups, accessed int
-	probeBuf
-}
-
-// shardTuples splits the cartesian product of deps' candidate sets into
-// contiguous chunks of the first dependency's candidates, runs process on
-// up to workers goroutines, and returns the per-chunk outputs in
-// enumeration order — so concatenating them reproduces the serial order
-// exactly. The outputs reuse the scratch's buffers and are valid until the
-// next call. A non-nil ctx is polled inside every shard; cancelled shards
-// stop early, leaving partial outputs the caller must discard (check the
-// context after shardTuples returns).
-func (s *ExecScratch) shardTuples(ctx context.Context, cmat [][]graph.NodeID, deps []pattern.Node, workers int, process func([]graph.NodeID, *shardOut)) []shardOut {
-	first := cmat[deps[0]]
-	nchunks := min(workers, len(first))
-	for len(s.outs) < nchunks {
-		s.outs = append(s.outs, shardOut{})
-	}
-	outs := s.outs[:nchunks]
-	var wg sync.WaitGroup
-	for c := 0; c < nchunks; c++ {
-		lo, hi := c*len(first)/nchunks, (c+1)*len(first)/nchunks
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			// Accumulate locally; one store at the end keeps shards off
-			// each other's cache lines.
-			local := shardOut{nodes: outs[c].nodes[:0], edges: outs[c].edges[:0], probeBuf: outs[c].probeBuf}
-			chk := strideChecker{ctx: ctx}
-			forEachTupleRange(cmat, deps, lo, hi, make([]graph.NodeID, len(deps)), func(tuple []graph.NodeID) bool {
-				if chk.cancelled() {
-					return false
-				}
-				process(tuple, &local)
-				return true
-			})
-			outs[c] = local
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	return outs
-}
-
 // forEachTuple enumerates the cartesian product of the candidate sets of
-// deps, invoking fn with the scratch's reused tuple slice (one node per
-// dep, in dep order). fn returning false stops the enumeration.
+// deps as an odometer, last dependency fastest, invoking fn with the
+// scratch's reused tuple slice (one node per dep, in dep order); no deps
+// make one empty tuple. fn returning false stops the enumeration.
 func (s *ExecScratch) forEachTuple(cmat [][]graph.NodeID, deps []pattern.Node, fn func([]graph.NodeID) bool) {
 	if len(deps) == 0 {
 		fn(nil)
@@ -827,17 +611,7 @@ func (s *ExecScratch) forEachTuple(cmat [][]graph.NodeID, deps []pattern.Node, f
 	if cap(s.tuple) < len(deps) {
 		s.tuple = make([]graph.NodeID, len(deps))
 	}
-	forEachTupleRange(cmat, deps, 0, len(cmat[deps[0]]), s.tuple[:len(deps)], fn)
-}
-
-// forEachTupleRange is forEachTuple with the first dependency's candidates
-// restricted to the index range [lo, hi), filling the caller's tuple
-// buffer (len(deps) long). It walks the product as an odometer, last
-// dependency fastest.
-func forEachTupleRange(cmat [][]graph.NodeID, deps []pattern.Node, lo, hi int, tuple []graph.NodeID, fn func([]graph.NodeID) bool) {
-	if lo >= hi {
-		return
-	}
+	tuple := s.tuple[:len(deps)]
 	var odoBuf [8]int
 	odo := odoBuf[:0]
 	if len(deps) > len(odoBuf) {
@@ -850,20 +624,17 @@ func forEachTupleRange(cmat [][]graph.NodeID, deps []pattern.Node, lo, hi int, t
 		odo = append(odo, 0)
 		tuple[i] = cmat[d][0]
 	}
-	odo[0], tuple[0] = lo, cmat[deps[0]][lo]
 	for fn(tuple) {
 		i := len(deps) - 1
-		for ; i > 0; i-- {
+		for ; i >= 0; i-- {
 			if odo[i]++; odo[i] < len(cmat[deps[i]]) {
 				break
 			}
 			odo[i] = 0
 			tuple[i] = cmat[deps[i]][0]
 		}
-		if i == 0 {
-			if odo[0]++; odo[0] >= hi {
-				return
-			}
+		if i < 0 {
+			return
 		}
 		tuple[i] = cmat[deps[i]][odo[i]]
 	}

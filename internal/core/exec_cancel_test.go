@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"boundedg/internal/access"
@@ -49,10 +50,11 @@ func TestExecWithPreCancelled(t *testing.T) {
 
 // TestExecWithCancelMidEvaluation aborts one bounded query on a workload
 // graph at EVERY context poll point in turn — mid fetch, mid GQ build, mid
-// edge verification — and checks that (a) the abort surfaces
-// context.Canceled, and (b) the shared scratch is restored well enough
-// that the next, uncancelled execution with the same scratch reproduces
-// the reference result bit-for-bit.
+// edge verification — unsharded and on each swept cut of its row
+// partition, and checks that (a) the abort surfaces context.Canceled, and
+// (b) the shared scratch is restored well enough that the next,
+// uncancelled execution with the same scratch reproduces the reference
+// result bit-for-bit.
 func TestExecWithCancelMidEvaluation(t *testing.T) {
 	d, idx, p := cancelFixture(t, 0.25)
 	want, wantStats, err := p.Exec(d.G, idx)
@@ -60,38 +62,46 @@ func TestExecWithCancelMidEvaluation(t *testing.T) {
 		t.Fatalf("reference Exec: %v", err)
 	}
 
-	for _, workers := range []int{1, 4} {
-		// Count the poll points of a full run at this worker count.
-		probe := &ctxtest.CountingCtx{After: 1 << 40}
+	cuts := map[string]ExecConfig{"unsharded": {}}
+	for k, cfg := range newGQInstance(t, d.G, idx).shards {
+		cuts["shards="+strconv.Itoa(k)] = *cfg
+	}
+	for name, proto := range cuts {
 		scratch := NewExecScratch()
-		if _, _, err := p.ExecWith(d.G, idx, &ExecConfig{Workers: workers, Scratch: scratch, Ctx: probe}); err != nil {
-			t.Fatalf("probe run (workers=%d): %v", workers, err)
+		exec := func(ctx context.Context) (*BoundedGraph, *ExecStats, error) {
+			cfg := proto
+			cfg.Scratch, cfg.Ctx = scratch, ctx
+			return p.ExecWith(d.G, idx, &cfg)
+		}
+		// Count the poll points of a full run on this cut.
+		probe := &ctxtest.CountingCtx{After: 1 << 40}
+		if _, _, err := exec(probe); err != nil {
+			t.Fatalf("probe run (%s): %v", name, err)
 		}
 		total := probe.Calls()
 		if total < 4 {
-			t.Fatalf("workers=%d: only %d context polls in a full run; fixture too small", workers, total)
+			t.Fatalf("%s: only %d context polls in a full run; fixture too small", name, total)
 		}
 
 		for k := int64(0); k < total; k++ {
-			ctx := &ctxtest.CountingCtx{After: k}
-			bg, stats, err := p.ExecWith(d.G, idx, &ExecConfig{Workers: workers, Scratch: scratch, Ctx: ctx})
+			bg, stats, err := exec(&ctxtest.CountingCtx{After: k})
 			if err != context.Canceled {
-				t.Fatalf("workers=%d abort@%d: err = %v, want context.Canceled", workers, k, err)
+				t.Fatalf("%s abort@%d: err = %v, want context.Canceled", name, k, err)
 			}
 			if bg != nil || stats != nil {
-				t.Fatalf("workers=%d abort@%d leaked results", workers, k)
+				t.Fatalf("%s abort@%d leaked results", name, k)
 			}
 			// The scratch must be clean: an uncancelled rerun with the
 			// same scratch must match the reference exactly.
-			gotBG, gotStats, err := p.ExecWith(d.G, idx, &ExecConfig{Workers: workers, Scratch: scratch})
+			gotBG, gotStats, err := exec(nil)
 			if err != nil {
-				t.Fatalf("workers=%d rerun after abort@%d: %v", workers, k, err)
+				t.Fatalf("%s rerun after abort@%d: %v", name, k, err)
 			}
 			if !reflect.DeepEqual(gotStats, wantStats) {
-				t.Fatalf("workers=%d rerun after abort@%d: stats = %+v, want %+v", workers, k, gotStats, wantStats)
+				t.Fatalf("%s rerun after abort@%d: stats = %+v, want %+v", name, k, gotStats, wantStats)
 			}
 			if !reflect.DeepEqual(gotBG.Cands, want.Cands) || !reflect.DeepEqual(gotBG.ToOrig, want.ToOrig) {
-				t.Fatalf("workers=%d rerun after abort@%d: scratch was poisoned (GQ differs)", workers, k)
+				t.Fatalf("%s rerun after abort@%d: scratch was poisoned (GQ differs)", name, k)
 			}
 		}
 	}

@@ -90,13 +90,4 @@ func TestExecFootprintRecording(t *testing.T) {
 		t.Fatal("fixture plan has no type-1 seed op; test is vacuous")
 	}
 
-	// Parallel execution records the same footprint rows (recording
-	// happens on the merged per-op results, not inside workers).
-	fp2 := NewFootprint()
-	if _, _, err := p.ExecWith(d.G, idx, &ExecConfig{Workers: 4, Footprint: fp2}); err != nil {
-		t.Fatalf("ExecWith(workers=4, footprint): %v", err)
-	}
-	if fp2.NumRows() != fp.NumRows() {
-		t.Fatalf("parallel footprint rows = %d, serial = %d", fp2.NumRows(), fp.NumRows())
-	}
 }

@@ -154,17 +154,18 @@ func gqShardSweep(t *testing.T) []int {
 	return []int{n}
 }
 
-// gqInstance is one graph with its index set and, per swept shard count,
-// its row partition as ExecConfig shard views.
+// gqInstance is one graph with its index set, its frozen snapshot and,
+// per swept shard count, its row partition as ExecConfig shard views.
 type gqInstance struct {
 	g      *graph.Graph
 	idx    *access.IndexSet
+	fz     *graph.Frozen
 	shards map[int]*ExecConfig
 }
 
 func newGQInstance(t *testing.T, g *graph.Graph, idx *access.IndexSet) *gqInstance {
 	t.Helper()
-	in := &gqInstance{g: g, idx: idx, shards: map[int]*ExecConfig{}}
+	in := &gqInstance{g: g, idx: idx, fz: g.Freeze(), shards: map[int]*ExecConfig{}}
 	for _, k := range gqShardSweep(t) {
 		m, err := shard.NewMap(k)
 		if err != nil {
@@ -185,24 +186,22 @@ func newGQInstance(t *testing.T, g *graph.Graph, idx *access.IndexSet) *gqInstan
 func (in *gqInstance) check(t *testing.T, name string, p *Plan) {
 	t.Helper()
 	want, wantStats := referenceExec(p, in.g, in.idx)
-	for _, workers := range []int{1, 4} {
-		bg, st, err := p.ExecWith(in.g, in.idx, &ExecConfig{Workers: workers, Scratch: NewExecScratch()})
+	for _, fz := range []*graph.Frozen{nil, in.fz} {
+		bg, st, err := p.ExecWith(in.g, in.idx, &ExecConfig{Frozen: fz, Scratch: NewExecScratch()})
 		if err != nil {
-			t.Fatalf("%s workers=%d: %v", name, workers, err)
+			t.Fatalf("%s frozen=%v: %v", name, fz != nil, err)
 		}
 		if diff := sameGQ(bg, st, want, wantStats); diff != "" {
-			t.Fatalf("%s workers=%d: %s", name, workers, diff)
+			t.Fatalf("%s frozen=%v: %s", name, fz != nil, diff)
 		}
-		for k, proto := range in.shards {
-			cfg := *proto
-			cfg.Workers = workers
-			bg, st, err := p.ExecWith(nil, nil, &cfg)
-			if err != nil {
-				t.Fatalf("%s workers=%d shards=%d: %v", name, workers, k, err)
-			}
-			if diff := sameGQ(bg, st, want, wantStats); diff != "" {
-				t.Fatalf("%s workers=%d shards=%d: %s", name, workers, k, diff)
-			}
+	}
+	for k, cfg := range in.shards {
+		bg, st, err := p.ExecWith(nil, nil, cfg)
+		if err != nil {
+			t.Fatalf("%s shards=%d: %v", name, k, err)
+		}
+		if diff := sameGQ(bg, st, want, wantStats); diff != "" {
+			t.Fatalf("%s shards=%d: %s", name, k, diff)
 		}
 	}
 }
@@ -210,8 +209,9 @@ func (in *gqInstance) check(t *testing.T, name string, p *Plan) {
 // TestGQBuilderEquivalence: GQ built by sorting and compacting packed edge
 // keys is the GQ the AddEdgeIfAbsent build produced — same ID mapping,
 // candidates and stats, same edge set with sorted rows, and a Frozen equal
-// to re-freezing it — serial, with 4 workers, and scattered over 1, 2 and
-// 3 shards, on random bounded cases and on all three workload generators.
+// to re-freezing it — unsharded with and without a frozen snapshot, and
+// scattered over 1, 2 and 3 shards, on random bounded cases and on all
+// three workload generators.
 func TestGQBuilderEquivalence(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
 		r := rand.New(rand.NewSource(11))

@@ -29,11 +29,6 @@ type Options struct {
 	MatchLimit int
 	// Scales lists |G| scale factors for Fig 5(a/e/i).
 	Scales []float64
-	// Workers > 1 runs bounded plans through the parallel execution path
-	// (sharded fetch/verification over a frozen snapshot) and is the top
-	// engine concurrency limit of the engine-throughput experiment. 0/1 =
-	// serial.
-	Workers int
 }
 
 // Default returns the harness defaults: paper shapes at laptop scale.
@@ -182,17 +177,9 @@ func runAll(at *algoTimes, g *workload.Dataset, idx *access.IndexSet,
 	mopt := match.SubgraphOptions{MaxMatches: opt.MatchLimit}
 	bopt := match.SubgraphOptions{MaxMatches: opt.MatchLimit, MaxSteps: opt.BaselineSteps}
 
-	// With -workers, bounded plans run through the parallel execution
-	// path; the one-off freeze is amortized across the whole load, so it
-	// stays outside the per-query timings.
-	var cfg *core.ExecConfig
-	if opt.Workers > 1 {
-		cfg = &core.ExecConfig{Workers: opt.Workers, Frozen: g.G.Freeze()}
-	}
-
 	for _, p := range subPlans {
 		var err error
-		secs := timed(func() { _, _, err = p.EvalSubgraphWith(g.G, idx, mopt, cfg) })
+		secs := timed(func() { _, _, err = p.EvalSubgraph(g.G, idx, mopt) })
 		if err != nil {
 			return err
 		}
@@ -200,7 +187,7 @@ func runAll(at *algoTimes, g *workload.Dataset, idx *access.IndexSet,
 	}
 	for _, p := range simPlans {
 		var err error
-		secs := timed(func() { _, _, err = p.EvalSimWith(g.G, idx, cfg) })
+		secs := timed(func() { _, _, err = p.EvalSim(g.G, idx) })
 		if err != nil {
 			return err
 		}

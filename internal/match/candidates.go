@@ -16,7 +16,7 @@ func VF2WithCandidates(q *pattern.Pattern, g *graph.Graph, cands [][]graph.NodeI
 // GSimWithCandidates runs graph simulation with externally supplied
 // initial candidate sets; bounded evaluation (bSim) uses it on GQ.
 func GSimWithCandidates(q *pattern.Pattern, g *graph.Graph, cands [][]graph.NodeID) *SimResult {
-	return gsim(q, g, cands, 1)
+	return gsim(q, g, cands)
 }
 
 // VF2WithCandidatesFrozen is VF2WithCandidates with edge reads served by

@@ -6,7 +6,6 @@ package match
 
 import (
 	"sort"
-	"sync"
 
 	"boundedg/internal/graph"
 	"boundedg/internal/pattern"
@@ -56,33 +55,16 @@ func (r *SimResult) Has(u pattern.Node, v graph.NodeID) bool {
 // for every pattern edge (u, u') some data edge (v, v') with (u', v') ∈ R.
 // The worklist refinement is the counter-based O(|EQ|·|E|) scheme in the
 // style of Henzinger, Henzinger & Kopke (FOCS 1995), the algorithm the
-// paper's gsim baseline uses.
+// paper's gsim baseline uses. Like that baseline, and like the bounded
+// evaluation it is compared against, it runs serially.
 func GSim(q *pattern.Pattern, g *graph.Graph) *SimResult {
-	return gsim(q, g, nil, 1)
+	return gsim(q, g, nil)
 }
-
-// GSimParallel is GSim with the candidate-initialization and
-// counter-construction phases sharded across the given number of
-// goroutines. The refinement fixpoint stays serial; the relation (and
-// Steps) is identical to GSim's for any worker count.
-func GSimParallel(q *pattern.Pattern, g *graph.Graph, workers int) *SimResult {
-	return gsim(q, g, nil, workers)
-}
-
-// minParallelCands is the per-phase work below which sharding the
-// initialization is not worth the goroutine handoff.
-const minParallelCands = 256
 
 // gsim runs simulation with optional initial candidate sets (used by
 // OptGSim and by bounded evaluation); initCands[u] == nil means "all
-// label-compatible nodes of g". workers > 1 parallelizes the two
-// initialization phases.
-func gsim(q *pattern.Pattern, g *graph.Graph, initCands [][]graph.NodeID, workers int) *SimResult {
-	return gsimOn(q, adjacency{g: g}, initCands, workers)
-}
-
-func gsimOn(q *pattern.Pattern, a adjacency, initCands [][]graph.NodeID, workers int) *SimResult {
-	g := a.g
+// label-compatible nodes of g".
+func gsim(q *pattern.Pattern, g *graph.Graph, initCands [][]graph.NodeID) *SimResult {
 	n := q.NumNodes()
 	res := &SimResult{Sim: make([][]graph.NodeID, n)}
 	idCap := g.Cap()
@@ -97,19 +79,16 @@ func gsimOn(q *pattern.Pattern, a adjacency, initCands [][]graph.NodeID, workers
 		}
 	}
 
-	// Phase 1: filter sources by node compatibility. Shards preserve
-	// source order, so the assembled lists match the serial run.
-	kept := filterCandidates(q, g, sources, workers)
-
-	// sim[u] as dense set for O(1) membership; simList[u] keeps the
-	// (deduplicated) iteration order for counter construction.
+	// Phase 1: filter sources by node compatibility. sim[u] as dense set
+	// for O(1) membership; simList[u] keeps the (deduplicated) source
+	// order for counter construction.
 	sim := make([]*graph.DenseSet, n)
 	simList := make([][]graph.NodeID, n)
 	for ui := 0; ui < n; ui++ {
 		set := graph.NewDenseSet(idCap)
-		list := kept[ui][:0]
-		for _, v := range kept[ui] {
-			if set.Add(v) {
+		var list []graph.NodeID
+		for _, v := range sources[ui] {
+			if q.MatchesNode(pattern.Node(ui), g, v) && set.Add(v) {
 				list = append(list, v)
 				res.Steps++
 			}
@@ -145,38 +124,19 @@ func gsimOn(q *pattern.Pattern, a adjacency, initCands [][]graph.NodeID, workers
 	// before enforcing anything: interleaving initialization with removals
 	// would double-subtract (a removal already excluded from a
 	// later-initialized counter would be decremented again during
-	// propagation). Shards write disjoint cnt slots and only read the
-	// frozen sim sets, so this parallelizes cleanly.
-	var initTasks []func()
-	for ei := range edges {
-		e := edges[ei]
-		row, src, ucSet := &cnt[ei], simList[e.u], sim[e.uc]
-		nc := 1
-		// Sparse rows are maps, so they get a single writer; dense rows
-		// shard freely (disjoint slots).
-		if workers > 1 && len(src) >= minParallelCands && row.dense != nil {
-			nc = workers
-			if nc > len(src) {
-				nc = len(src)
-			}
-		}
-		for c := 0; c < nc; c++ {
-			lo, hi := c*len(src)/nc, (c+1)*len(src)/nc
-			chunk := src[lo:hi]
-			initTasks = append(initTasks, func() {
-				for _, v := range chunk {
-					c := int32(0)
-					for _, w := range a.Out(v) {
-						if ucSet.Has(w) {
-							c++
-						}
-					}
-					row.set(v, c)
+	// propagation).
+	for ei, e := range edges {
+		row, ucSet := &cnt[ei], sim[e.uc]
+		for _, v := range simList[e.u] {
+			c := int32(0)
+			for _, w := range g.Out(v) {
+				if ucSet.Has(w) {
+					c++
 				}
-			})
+			}
+			row.set(v, c)
 		}
 	}
-	runTasks(workers, initTasks)
 
 	// removeQueue holds (u, v) pairs removed from sim(u) whose effect has
 	// not been propagated yet.
@@ -211,7 +171,7 @@ func gsimOn(q *pattern.Pattern, a adjacency, initCands [][]graph.NodeID, workers
 		for _, ei := range inEdges[r.u] {
 			e := edges[ei]
 			row := &cnt[ei]
-			for _, v := range a.In(r.v) {
+			for _, v := range g.In(r.v) {
 				if !sim[e.u].Has(v) {
 					continue
 				}
@@ -295,100 +255,6 @@ func (r *cntRow) dec(v graph.NodeID) (int32, bool) {
 	c--
 	r.sparse[v] = c
 	return c, true
-}
-
-// filterCandidates returns, per pattern node, the source candidates that
-// pass the node-compatibility test, in source order. workers > 1 shards
-// large sources.
-func filterCandidates(q *pattern.Pattern, g *graph.Graph, sources [][]graph.NodeID, workers int) [][]graph.NodeID {
-	n := len(sources)
-	kept := make([][]graph.NodeID, n)
-	if workers <= 1 {
-		for ui := 0; ui < n; ui++ {
-			u := pattern.Node(ui)
-			var list []graph.NodeID
-			for _, v := range sources[ui] {
-				if q.MatchesNode(u, g, v) {
-					list = append(list, v)
-				}
-			}
-			kept[ui] = list
-		}
-		return kept
-	}
-	type shard struct {
-		ui   int
-		src  []graph.NodeID
-		keep []graph.NodeID
-	}
-	var shards []*shard
-	perNode := make([][]*shard, n)
-	for ui := 0; ui < n; ui++ {
-		src := sources[ui]
-		nc := 1
-		if len(src) >= minParallelCands {
-			nc = workers
-			if nc > len(src) {
-				nc = len(src)
-			}
-		}
-		for c := 0; c < nc; c++ {
-			s := &shard{ui: ui, src: src[c*len(src)/nc : (c+1)*len(src)/nc]}
-			shards = append(shards, s)
-			perNode[ui] = append(perNode[ui], s)
-		}
-	}
-	tasks := make([]func(), len(shards))
-	for i, s := range shards {
-		s := s
-		tasks[i] = func() {
-			u := pattern.Node(s.ui)
-			for _, v := range s.src {
-				if q.MatchesNode(u, g, v) {
-					s.keep = append(s.keep, v)
-				}
-			}
-		}
-	}
-	runTasks(workers, tasks)
-	for ui := 0; ui < n; ui++ {
-		var list []graph.NodeID
-		for _, s := range perNode[ui] {
-			list = append(list, s.keep...)
-		}
-		kept[ui] = list
-	}
-	return kept
-}
-
-// runTasks executes the tasks on up to workers goroutines (inline when
-// serial execution suffices).
-func runTasks(workers int, tasks []func()) {
-	if workers <= 1 || len(tasks) <= 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var wg sync.WaitGroup
-	next := make(chan func())
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range next {
-				t()
-			}
-		}()
-	}
-	for _, t := range tasks {
-		next <- t
-	}
-	close(next)
-	wg.Wait()
 }
 
 func sortIDs(s []graph.NodeID) {

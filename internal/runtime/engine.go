@@ -257,10 +257,10 @@ func (e *Engine) Eval(ctx context.Context, q Query) Result {
 	e.submitted.Add(1)
 	cut := e.src.AcquireCut()
 	defer cut.Release()
-	// A one-snapshot cut collapses to the plain path inside core.ExecWith,
-	// so a single store pays no scatter/gather. With no Scratch, ExecWith
-	// borrows one from its pool; a context already dead stops it before
-	// it touches the graph.
+	// core.ExecWith reads a one-snapshot cut without routing a single
+	// node, so a single store pays no scatter/gather. With no Scratch,
+	// ExecWith borrows one from its pool; a context already dead stops it
+	// before it touches the graph.
 	cfg := core.ExecConfig{Ctx: ctx, Shards: make([]core.ShardView, len(cut.Snaps)), ShardOf: cut.ShardOf}
 	for i, sn := range cut.Snaps {
 		cfg.Shards[i] = core.ShardView{G: sn.G, Fz: sn.Fz, Idx: sn.Idx}
