@@ -57,10 +57,6 @@ func isStagedLabel(l Label) (k int, ok bool) {
 	return 0, false
 }
 
-// HasStagedLabels reports whether the delta references label names not
-// yet committed to the interner (see ResolveLabels).
-func (d *Delta) HasStagedLabels() bool { return len(d.stagedNames) > 0 }
-
 // internOrStage resolves a label name against in without growing it:
 // known names resolve to their Label, novel ones are staged on the delta
 // (deduplicated) and referenced through a stagedLabel sentinel.

@@ -331,8 +331,8 @@ type SubscriptionStats struct {
 }
 
 // Server serves bounded pattern queries over HTTP. Construct with New;
-// either mount Handler on an existing server or use ListenAndServe plus
-// Shutdown for the managed lifecycle.
+// either mount Handler on an existing server or use Serve plus Shutdown
+// for the managed lifecycle.
 type Server struct {
 	eng *runtime.Engine
 	in  *graph.Interner
@@ -422,16 +422,6 @@ func New(eng *runtime.Engine, in *graph.Interner, cfg Config) *Server {
 // Handler returns the server's routing handler, for mounting under
 // httptest or an existing mux.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// ListenAndServe serves on addr until Shutdown (returning
-// http.ErrServerClosed) or a listener error.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
 
 // Serve serves on l until Shutdown or a listener error.
 func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -25,10 +24,11 @@ type (
 )
 
 // Router owns one store per shard behind a deterministic node partition
-// and coordinates cross-shard commits: updates split into per-shard
-// sub-deltas, stage on every participant, get one global accept/reject
-// verdict (cardinality bounds are summed across the row partition), log
-// to each participant's own WAL, and publish atomically under the
+// and coordinates cross-shard commits: updates queue on the store's
+// group-commit Queue, split into per-shard sub-deltas, stage on every
+// participant in shard order, get one global accept/reject verdict
+// (cardinality bounds are summed across the row partition), log to each
+// participant's own WAL concurrently, and publish atomically under the
 // router's publication lock so the epoch vector is never observed
 // half-advanced.
 type Router struct {
@@ -38,8 +38,7 @@ type Router struct {
 	dirs    []*wal.Dir // nil entries when in-memory
 	fsync   bool
 
-	qmu   sync.Mutex
-	queue []*routerReq
+	queue store.Queue
 	lmu   sync.Mutex // leader lock: serializes commitBatch
 
 	// mu is the publication lock: held for write while a batch commits
@@ -72,11 +71,8 @@ type Router struct {
 	scrTouched []access.TouchedEntry
 	scrWorst   []int
 
-	// pubCh is the GSN-publication broadcast channel: closed (and
-	// replaced lazily) each time a batch publishes a new GSN. Same
-	// protocol as store.Store.PublishSignal.
-	pubMu sync.Mutex
-	pubCh chan struct{}
+	// pub fires each time a batch publishes a new GSN.
+	pub store.Signal
 
 	// hookBeforeShardLog, when set, runs immediately before shard s's
 	// records are appended; an error fails that shard's log step with
@@ -88,13 +84,6 @@ type Router struct {
 	// point. Participants log concurrently, so crash tests coordinate the
 	// two hooks to pin exactly which subset of shards synced.
 	hookAfterShardLog func(s int) error
-}
-
-type routerReq struct {
-	d    *graph.Delta
-	done chan struct{}
-	res  Result
-	err  error
 }
 
 // newRouter returns a router shell over m: no stores or directories yet.
@@ -142,29 +131,9 @@ func (r *Router) Schema() *access.Schema { return r.stores[0].Schema() }
 func (r *Router) Epoch() uint64 { return r.gsn.Load() }
 
 // PublishSignal returns a channel closed the next time a batch publishes
-// a new GSN. Same one-shot level-trigger protocol as
-// store.Store.PublishSignal: grab the channel before reading Epoch, then
-// block; re-grab after each wake.
-func (r *Router) PublishSignal() <-chan struct{} {
-	r.pubMu.Lock()
-	defer r.pubMu.Unlock()
-	if r.pubCh == nil {
-		r.pubCh = make(chan struct{})
-	}
-	return r.pubCh
-}
-
-// signalPublish wakes PublishSignal waiters; called after each commit
-// releases the publication lock.
-func (r *Router) signalPublish() {
-	r.pubMu.Lock()
-	ch := r.pubCh
-	r.pubCh = nil
-	r.pubMu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
-}
+// a new GSN, with store.Signal's protocol: grab the channel before reading
+// Epoch, then block; re-grab after each wake.
+func (r *Router) PublishSignal() <-chan struct{} { return r.pub.Wait() }
 
 // Store returns shard s's store (tests and stats).
 func (r *Router) Store(s int) *store.Store { return r.stores[s] }
@@ -195,15 +164,9 @@ func (r *Router) AcquireCut() *Cut {
 // the global ID space) untouched, and on success the publishing cut is
 // visible to AcquireCut before Apply returns.
 func (r *Router) Apply(d *graph.Delta) (Result, error) {
-	req := &routerReq{d: d, done: make(chan struct{})}
-	r.qmu.Lock()
-	r.queue = append(r.queue, req)
-	r.qmu.Unlock()
-
+	req := r.queue.Push(d)
 	r.lead()
-
-	<-req.done
-	return req.res, req.err
+	return req.Wait()
 }
 
 // lead mirrors store.lead: every queued caller contends for the leader
@@ -211,26 +174,23 @@ func (r *Router) Apply(d *graph.Delta) (Result, error) {
 func (r *Router) lead() {
 	r.lmu.Lock()
 	defer r.lmu.Unlock()
-	r.qmu.Lock()
-	batch := r.queue
-	r.queue = nil
-	r.qmu.Unlock()
-	if len(batch) > 0 {
+	if batch := r.queue.Take(); len(batch) > 0 {
 		r.commitBatch(batch)
 	}
 }
 
 // commitBatch runs one cross-shard group commit on the participant
-// shards only: the published snapshots serve as read views, a
-// transaction opens lazily on the shards the batch actually stages onto,
-// the participants' envelope records log concurrently and join before
-// the single atomic vector publication. A batch touching k of N shards
-// therefore pays k writer locks, k fsyncs and k epoch bumps; the other
-// shards' epochs simply skip the GSN — exactly the vector the all-shards
-// protocol published, since an empty-staged Commit never bumped them
-// either.
-func (r *Router) commitBatch(batch []*routerReq) {
-	settled := false
+// shards only, as one serial sequence on the leader's goroutine: the
+// published snapshots serve as read views, a transaction opens lazily on
+// the shards the batch actually stages onto, each delta stages on its
+// participants in shard order, and only the participants' envelope
+// records log concurrently, joining before the single atomic vector
+// publication. A batch touching k of N shards therefore pays k writer
+// locks, k fsyncs and k epoch bumps; the other shards' epochs simply skip
+// the GSN — exactly the vector the all-shards protocol published, since
+// an empty-staged Commit never bumped them either. Every request is
+// settled before returning.
+func (r *Router) commitBatch(batch []*store.Request) {
 	n := r.m.Shards
 	txns := make([]*store.Txn, n)
 	txnsOpen := false
@@ -248,31 +208,18 @@ func (r *Router) commitBatch(batch []*routerReq) {
 		if rec == nil {
 			return
 		}
-		// A panic mid-commit (a splitter/staging invariant violation) on
-		// any shard poisons all of them — including the shards the batch
-		// never opened: the batch never published, the shadow states are
-		// suspect, and partial wedging would desync the shards. Fail the
-		// waiters, wedge everything, re-panic.
+		// A panic mid-commit (a splitter/staging invariant violation, or a
+		// participant's log step) on any shard poisons all of them —
+		// including the shards the batch never opened: the batch never
+		// published, the shadow states are suspect, and partial wedging
+		// would desync the shards. Wedge everything (rewinding whatever
+		// was logged), fail the waiters, re-panic.
 		if txnsOpen {
 			_ = r.wedgeAll(txns)
 		}
-		if !settled {
-			for _, req := range batch {
-				if req.err == nil {
-					req.err = fmt.Errorf("shard: commit panicked: %v", rec)
-				}
-				close(req.done)
-			}
-		}
+		store.Settle(batch, fmt.Errorf("shard: commit panicked: %v", rec))
 		panic(rec)
 	}()
-	finish := func() {
-		settled = true
-		for _, req := range batch {
-			close(req.done)
-		}
-	}
-
 	graphs := func(s int) *graph.Graph {
 		if txns[s] != nil {
 			return txns[s].Graph()
@@ -280,11 +227,6 @@ func (r *Router) commitBatch(batch []*routerReq) {
 		return snaps[s].G
 	}
 	schema := r.Schema()
-	// fan gates the CPU-bound fan-outs (staging, commit): with one
-	// schedulable CPU the goroutine handoffs cost latency and buy no
-	// parallelism. durable gates the log fan-out separately — fsyncs
-	// block in the kernel, so they overlap even on one CPU.
-	fan := runtime.GOMAXPROCS(0) > 1
 	durable := false
 	for _, d := range r.dirs {
 		if d != nil {
@@ -296,12 +238,10 @@ func (r *Router) commitBatch(batch []*routerReq) {
 	epoch := r.gsn.Load() + 1
 	seq := r.seq.Load()
 	nextID := graph.NodeID(r.nextID.Load())
-	var accepted []*routerReq
+	var accepted []*store.Request
 	// stagedReqs[s] maps shard s's staged entries (in order) back to the
-	// requests they belong to, for log-offset attribution. counted[s]
-	// dedupes the ShardTxns accounting across the batch's requests.
-	stagedReqs := make([][]*routerReq, n)
-	counted := make([]bool, n)
+	// requests they belong to, for log-offset attribution.
+	stagedReqs := make([][]*store.Request, n)
 	nodeDelta, edgeDelta := 0, 0
 	var totalRows uint64
 	var batchRows []graph.NodeID // changed ∪ new rows across accepted deltas
@@ -309,8 +249,9 @@ func (r *Router) commitBatch(batch []*routerReq) {
 	var beginErr error
 reqs:
 	for _, req := range batch {
-		if req.d.AddNodeIDs != nil {
-			req.err = fmt.Errorf("shard: delta may not pin node IDs")
+		d := req.Delta
+		if d.AddNodeIDs != nil {
+			req.Err = fmt.Errorf("shard: delta may not pin node IDs")
 			r.rejErr.Add(1)
 			continue
 		}
@@ -318,94 +259,32 @@ reqs:
 		// only place interner growth happens in a sharded store) BEFORE
 		// splitDelta copies the specs into sub-deltas; novel names commit
 		// only if the global verdict accepts the delta.
-		commitLabels, rollbackLabels, err := req.d.ResolveLabels(snaps[0].G.Interner())
+		commitLabels, rollbackLabels, err := d.ResolveLabels(snaps[0].G.Interner())
 		if err != nil {
-			req.err = err
+			req.Err = err
 			r.rejErr.Add(1)
 			continue
 		}
-		sp, err := splitDelta(req.d, r.m, graphs, nextID)
+		sp, err := splitDelta(d, r.m, graphs, nextID)
 		if err != nil {
 			rollbackLabels()
-			req.err = err
+			req.Err = err
 			r.rejErr.Add(1)
 			continue
 		}
-		// Open and stage on this delta's participants concurrently: the
-		// shards are independent stores, and the fixed per-shard costs
-		// (BeginTxn's shadow catch-up, index staging) dominate small
-		// cross-shard deltas — serializing them made a k-shard delta k×
-		// slower than a single-shard one. Distinct parts write disjoint
-		// txns slots; the shared flags are reconciled after the join.
 		sds := make([]*access.StagedDelta, len(sp.parts))
-		stageBeginErrs := make([]error, len(sp.parts))
-		stageErrs := make([]error, len(sp.parts))
-		stagePanics := make([]any, len(sp.parts))
-		stageOne := func(i int) {
-			defer func() {
-				if p := recover(); p != nil {
-					stagePanics[i] = p
-				}
-			}()
-			t := sp.parts[i]
+		for i, t := range sp.parts {
 			if txns[t] == nil {
 				tx, err := r.stores[t].BeginTxn()
 				if err != nil {
-					stageBeginErrs[i] = err
-					return
+					rollbackLabels()
+					beginErr = err
+					break reqs
 				}
-				txns[t] = tx
+				txns[t], txnsOpen = tx, true
+				r.shardTxns.Add(1)
 			}
-			sds[i], stageErrs[i] = txns[t].Stage(sp.subs[t], seq+1, sp.parts)
-		}
-		if len(sp.parts) <= 1 || !fan {
-			// Staging is CPU-bound (no blocking points), so on a single-CPU
-			// host the goroutine handoffs are pure overhead — run the parts
-			// in order instead.
-			for i := range sp.parts {
-				stageOne(i)
-			}
-		} else {
-			// First participant runs on this goroutine: with k parts only
-			// k-1 handoffs are paid.
-			var wg sync.WaitGroup
-			for i := 1; i < len(sp.parts); i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					stageOne(i)
-				}(i)
-			}
-			stageOne(0)
-			wg.Wait()
-		}
-		opened := uint64(0)
-		for s := 0; s < n; s++ {
-			if txns[s] != nil {
-				txnsOpen = true
-			}
-		}
-		for _, t := range sp.parts {
-			if txns[t] != nil && !counted[t] {
-				counted[t] = true
-				opened++
-			}
-		}
-		r.shardTxns.Add(opened)
-		for i := range sp.parts {
-			if p := stagePanics[i]; p != nil {
-				panic(p)
-			}
-		}
-		for i := range sp.parts {
-			if err := stageBeginErrs[i]; err != nil {
-				rollbackLabels()
-				beginErr = err
-				break reqs
-			}
-		}
-		for i, t := range sp.parts {
-			if err := stageErrs[i]; err != nil {
+			if sds[i], err = txns[t].Stage(sp.subs[t], seq+1, sp.parts); err != nil {
 				// splitDelta validated the delta globally; a shard
 				// refusing its sub-delta means the simulation and the
 				// shard state disagree.
@@ -417,53 +296,38 @@ reqs:
 				txns[sp.parts[i]].UnstageLast()
 			}
 			rollbackLabels()
-			req.err = &access.ViolationError{Violations: viols}
+			req.Err = &access.ViolationError{Violations: viols}
 			r.rejViol.Add(1)
 			continue
 		}
 		commitLabels()
 		seq++
-		nextID += graph.NodeID(len(req.d.AddNodes))
+		nextID += graph.NodeID(len(d.AddNodes))
 		nodeDelta += sp.nodeDelta
 		edgeDelta += sp.edgeDelta
 		totalRows += uint64(sp.touched)
 		batchRows = append(batchRows, sp.rows...)
 		batchLabels = append(batchLabels, sp.labels...)
-		req.res = Result{NewIDs: sp.newIDs, TouchedRows: sp.touched, ShardLogOffsets: make([]int64, n)}
+		req.Res = Result{NewIDs: sp.newIDs, TouchedRows: sp.touched, ShardLogOffsets: make([]int64, n)}
 		for _, t := range sp.parts {
 			stagedReqs[t] = append(stagedReqs[t], req)
 		}
 		accepted = append(accepted, req)
 	}
-	if beginErr != nil {
-		// A shard refused to open (closed or wedged) partway through the
-		// batch. Nothing is logged yet, so abort every open transaction —
-		// unstaging the already-accepted deltas — and fail the batch
-		// wholesale; per-delta rejections decided before the failure keep
-		// their own verdicts.
+	if beginErr != nil || len(accepted) == 0 {
+		// Nothing to publish: every delta was rejected, or a shard refused
+		// to open (closed or wedged) partway through the batch. Nothing is
+		// logged yet, so abort every open transaction — unstaging any
+		// already-accepted deltas — and on a refusal fail the batch
+		// wholesale; per-delta rejections decided before it keep their own
+		// verdicts.
 		for s := n - 1; s >= 0; s-- {
 			if txns[s] != nil {
 				txns[s].Abort()
 			}
 		}
 		txnsOpen = false
-		for _, req := range batch {
-			if req.err == nil {
-				req.err = beginErr
-				req.res = Result{}
-			}
-		}
-		finish()
-		return
-	}
-	if len(accepted) == 0 {
-		for s := n - 1; s >= 0; s-- {
-			if txns[s] != nil {
-				txns[s].Abort()
-			}
-		}
-		txnsOpen = false
-		finish()
+		store.Settle(batch, beginErr)
 		return
 	}
 
@@ -481,7 +345,12 @@ reqs:
 	}
 	offsBy := make([][]int64, n)
 	logErrs := make([]error, n)
+	logPanics := make([]any, n)
 	logOne := func(s int) {
+		// A panic is held until every participant has joined: wedging
+		// rewinds each shard's log, which must not race an append still
+		// in flight on another participant.
+		defer func() { logPanics[s] = recover() }()
 		if r.hookBeforeShardLog != nil {
 			if err := r.hookBeforeShardLog(s); err != nil {
 				logErrs[s] = err
@@ -515,66 +384,35 @@ reqs:
 		wg.Wait()
 	}
 	for _, s := range parts {
+		if p := logPanics[s]; p != nil {
+			panic(p)
+		}
+	}
+	for _, s := range parts {
 		if err := logErrs[s]; err != nil {
 			// Mirror the unsharded wedge path: the whole fleet wedges and
 			// every request without a verdict of its own fails.
 			werr := store.WedgeError(err, r.wedgeAll(txns))
 			txnsOpen = false
-			for _, req := range batch {
-				if req.err == nil {
-					req.res, req.err = Result{}, werr
-				}
-			}
-			finish()
+			store.Settle(batch, werr)
 			return
 		}
 	}
 	for _, s := range parts {
 		for i, req := range stagedReqs[s] {
-			req.res.ShardLogOffsets[s] = offsBy[s][i]
+			req.Res.ShardLogOffsets[s] = offsBy[s][i]
 		}
 	}
 
-	// Publication: every participant's Commit runs under the publication
-	// write lock, so cuts observe either no shard or every shard at the
-	// new epoch. Open transactions whose staged deltas were all rejected
-	// commit empty (just releasing the writer lock); untouched shards
-	// keep their previous epoch in the vector.
+	// Publication: every open transaction commits, in shard order, under
+	// the publication write lock, so cuts observe either no shard or
+	// every shard at the new epoch. Open transactions whose staged deltas
+	// were all rejected commit empty (just releasing the writer lock);
+	// untouched shards keep their previous epoch in the vector.
 	r.mu.Lock()
-	open := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		if txns[s] != nil {
-			open = append(open, s)
-		}
-	}
-	if len(open) <= 1 || !fan {
-		for _, s := range open {
-			txns[s].Commit(epoch)
-		}
-	} else {
-		// Commits are per-store work (snapshot refresh, writer unlock) on
-		// independent shards; the publication lock already makes the
-		// vector advance atomic, so running them concurrently changes
-		// only the latency, not what a cut can observe.
-		commitPanics := make([]any, n)
-		var wg sync.WaitGroup
-		for _, s := range open[1:] {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				defer func() { commitPanics[s] = recover() }()
-				txns[s].Commit(epoch)
-			}(s)
-		}
-		func(s int) {
-			defer func() { commitPanics[s] = recover() }()
-			txns[s].Commit(epoch)
-		}(open[0])
-		wg.Wait()
-		for _, s := range open {
-			if p := commitPanics[s]; p != nil {
-				panic(p)
-			}
+	for _, t := range txns {
+		if t != nil {
+			t.Commit(epoch)
 		}
 	}
 	vector := make([]uint64, n)
@@ -588,7 +426,7 @@ reqs:
 	r.clog.Record(epoch, vector, batchRows, batchLabels)
 	r.gsn.Store(epoch)
 	r.mu.Unlock()
-	r.signalPublish()
+	r.pub.Fire()
 	txnsOpen = false
 
 	r.seq.Store(seq)
@@ -599,10 +437,10 @@ reqs:
 	r.batches.Add(1)
 	r.touched.Add(totalRows)
 	for _, req := range accepted {
-		req.res.Epoch = epoch
-		req.res.Vector = vector
+		req.Res.Epoch = epoch
+		req.Res.Vector = vector
 	}
-	finish()
+	store.Settle(batch, nil)
 }
 
 // ChangedSince reports the union of changes in GSNs (e, S], S ≥ the
@@ -725,9 +563,7 @@ func (r *Router) Stats() Stats {
 		ShardTxns:         r.shardTxns.Load(),
 		Shards:            make([]store.Stats, len(r.stores)),
 	}
-	r.qmu.Lock()
-	st.QueueDepth = len(r.queue)
-	r.qmu.Unlock()
+	st.QueueDepth = r.queue.Len()
 	for i, s := range r.stores {
 		st.Shards[i] = s.Stats()
 		st.Vector[i] = st.Shards[i].Epoch

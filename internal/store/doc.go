@@ -50,7 +50,9 @@
 // the WAL fsync — are paid once per batch instead of once per delta. Under a
 // write burst the epoch rate and the fsync rate both collapse to the
 // batch rate (see BenchmarkGroupCommit), which is exactly the update
-// batching the per-epoch fixed costs call for at small |ΔG|.
+// batching the per-epoch fixed costs call for at small |ΔG|. The queue,
+// its settle step and the publication signal are the exported Queue,
+// Settle and Signal, which the shard router's leader drives the same way.
 //
 // A delta that fails structurally or would break an access constraint is
 // rejected atomically: the published state is bit-for-bit unaffected and

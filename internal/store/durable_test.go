@@ -298,10 +298,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		}(i)
 	}
 	for {
-		st.qmu.Lock()
-		n := len(st.queue)
-		st.qmu.Unlock()
-		if n == writers {
+		if st.queue.Len() == writers {
 			break
 		}
 	}

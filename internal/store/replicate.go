@@ -71,7 +71,7 @@ func (st *Store) ResetReplicated(epoch uint64, g *graph.Graph, idx *access.Index
 	s := &state{g: g, idx: idx}
 	next := &Snapshot{G: g, Fz: g.Freeze(), Idx: idx, Epoch: epoch, st: s}
 	st.cur.Store(next)
-	st.signalPublish()
+	st.pub.Fire()
 	cur.retired.Store(true)
 	// Both old instances are of the abandoned lineage: neither can serve
 	// as the next shadow. Readers still pinning them drain on their own.

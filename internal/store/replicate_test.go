@@ -65,19 +65,15 @@ func TestReplicatedChangeRingMatchesPrimary(t *testing.T) {
 	// not the scheduler's), then replicates what it accepted.
 	batch := func(step string, ds ...*graph.Delta) []error {
 		t.Helper()
-		reqs := make([]*commitReq, len(ds))
+		reqs := make([]*Request, len(ds))
 		for i, d := range ds {
-			reqs[i] = &commitReq{d: d, done: make(chan struct{})}
+			reqs[i] = primary.queue.Push(d)
 		}
-		primary.qmu.Lock()
-		primary.queue = append(primary.queue, reqs...)
-		primary.qmu.Unlock()
 		primary.lead()
 		errs := make([]error, len(ds))
 		var accepted []*graph.Delta
 		for i, r := range reqs {
-			<-r.done
-			if errs[i] = r.err; r.err == nil {
+			if _, errs[i] = r.Wait(); errs[i] == nil {
 				accepted = append(accepted, ds[i].Clone())
 			}
 		}

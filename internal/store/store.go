@@ -131,14 +131,6 @@ type Stats struct {
 	LastCheckpointEpoch uint64
 }
 
-// commitReq is one Apply call waiting in the group-commit queue.
-type commitReq struct {
-	d    *graph.Delta
-	res  Result
-	err  error
-	done chan struct{}
-}
-
 // lagEntry is one delta the published instance has absorbed but the
 // shadow has not, plus the row set its accepted stage maintained — the
 // inputs of access.IndexSet.ReplayDelta, which catches the shadow up
@@ -181,8 +173,7 @@ func (st *Store) lagRows(touched []graph.NodeID) []graph.NodeID {
 type Store struct {
 	cur atomic.Pointer[Snapshot]
 
-	qmu   sync.Mutex // guards queue; never held while blocking
-	queue []*commitReq
+	queue Queue
 
 	mu     sync.Mutex // serializes batch leaders, checkpoint commits and Close
 	ckptMu sync.Mutex // serializes whole Checkpoint calls (writers keep running)
@@ -208,11 +199,8 @@ type Store struct {
 	// it to exercise the wedge/rewind machinery.
 	hookAppend func(i int) error
 
-	// pubCh is the epoch-publication broadcast channel: closed (and
-	// replaced lazily) each time a new snapshot is published. Nil until
-	// someone asks; see PublishSignal.
-	pubMu sync.Mutex
-	pubCh chan struct{}
+	// pub fires each time a new snapshot is published; see PublishSignal.
+	pub Signal
 
 	applied, batches, rejViol, rejErr, touched atomic.Uint64
 	lastApplyNS                                atomic.Int64
@@ -319,32 +307,10 @@ func (st *Store) AcquireCut() *Cut {
 func (st *Store) Epoch() uint64 { return st.cur.Load().Epoch }
 
 // PublishSignal returns a channel that is closed the next time an epoch
-// is published (commit, replicated apply, or checkpoint re-anchor). It
-// is a one-shot level trigger, not a queue: grab the channel BEFORE
-// reading Epoch, act on what Epoch says, then block on the channel —
-// that order cannot miss a publication. Consecutive publications may
-// coalesce into one close; callers re-read Epoch after each wake.
-func (st *Store) PublishSignal() <-chan struct{} {
-	st.pubMu.Lock()
-	defer st.pubMu.Unlock()
-	if st.pubCh == nil {
-		st.pubCh = make(chan struct{})
-	}
-	return st.pubCh
-}
-
-// signalPublish wakes PublishSignal waiters. Called after st.cur.Store
-// on every publish path; never blocks, so the commit path pays only a
-// mutex tap when nobody is subscribed.
-func (st *Store) signalPublish() {
-	st.pubMu.Lock()
-	ch := st.pubCh
-	st.pubCh = nil
-	st.pubMu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
-}
+// is published (commit, replicated apply, or checkpoint re-anchor), with
+// Signal's protocol: grab the channel BEFORE reading Epoch, then block;
+// re-read Epoch after each wake.
+func (st *Store) PublishSignal() <-chan struct{} { return st.pub.Wait() }
 
 // Schema returns the access schema (immutable across epochs).
 func (st *Store) Schema() *access.Schema { return st.cur.Load().Idx.Schema() }
@@ -388,15 +354,9 @@ type Result struct {
 // waiting out readers still pinning the epoch before last. The first
 // Apply also pays a one-off O(|G|) clone of the second instance.
 func (st *Store) Apply(d *graph.Delta) (Result, error) {
-	req := &commitReq{d: d, done: make(chan struct{})}
-	st.qmu.Lock()
-	st.queue = append(st.queue, req)
-	st.qmu.Unlock()
-
+	req := st.queue.Push(d)
 	st.lead()
-
-	<-req.done
-	return req.res, req.err
+	return req.Wait()
 }
 
 // lead runs the leader election: every queued caller contends for the
@@ -405,10 +365,7 @@ func (st *Store) Apply(d *graph.Delta) (Result, error) {
 // just wait.
 func (st *Store) lead() {
 	st.mu.Lock()
-	st.qmu.Lock()
-	batch := st.queue
-	st.queue = nil
-	st.qmu.Unlock()
+	batch := st.queue.Take()
 	if len(batch) == 0 {
 		st.mu.Unlock()
 		return
@@ -418,37 +375,27 @@ func (st *Store) lead() {
 
 // commitBatch runs one group commit through t, whose writer lock the
 // leader already holds: every request staged with its own accept/reject
-// verdict, then one log step, one published epoch. Every request's done
-// channel is closed before returning, and t has ended.
-func (st *Store) commitBatch(t *Txn, batch []*commitReq) {
-	// settle wakes the batch; a non-nil err fails every request that has
-	// no verdict of its own yet.
-	settle := func(err error) {
-		for _, r := range batch {
-			if err != nil && r.err == nil {
-				r.res, r.err = Result{}, err
-			}
-			close(r.done)
-		}
-	}
+// verdict, then one log step, one published epoch. Every request is
+// settled before returning, and t has ended.
+func (st *Store) commitBatch(t *Txn, batch []*Request) {
 	defer func() {
 		if p := recover(); p != nil {
 			// The epoch never published: wedge (rewinding what the batch
 			// appended and releasing the lock) and fail the waiters instead
 			// of stranding them, then let the panic propagate.
 			_ = t.Wedge()
-			settle(fmt.Errorf("store: commit panicked: %v", p))
+			Settle(batch, fmt.Errorf("store: commit panicked: %v", p))
 			panic(p)
 		}
 	}()
 	if err := t.begin(); err != nil {
-		settle(err)
+		Settle(batch, err)
 		return
 	}
 	epoch := t.cur.Epoch + 1
-	var accepted []*commitReq
+	var accepted []*Request
 	for _, req := range batch {
-		res, err := t.stageLocal(req.d)
+		res, err := t.stageLocal(req.Delta)
 		if err != nil {
 			var verr *access.ViolationError
 			if errors.As(err, &verr) {
@@ -456,31 +403,31 @@ func (st *Store) commitBatch(t *Txn, batch []*commitReq) {
 			} else {
 				st.rejErr.Add(1)
 			}
-			req.err = err
+			req.Err = err
 			continue
 		}
-		req.res = Result{Epoch: epoch, NewIDs: res.NewIDs, TouchedRows: len(res.Touched)}
+		req.Res = Result{Epoch: epoch, NewIDs: res.NewIDs, TouchedRows: len(res.Touched)}
 		accepted = append(accepted, req)
 	}
 	if len(accepted) == 0 {
 		// Nothing survived: no epoch, no log records, published state
 		// untouched. The shadow is still clean (every reject reverted).
 		t.Abort()
-		settle(nil)
+		Settle(batch, nil)
 		return
 	}
 	// Durability point: only after the log has the batch may the epoch
 	// become visible — crash recovery replays exactly these records.
 	offs, err := t.Log(epoch)
 	if err != nil {
-		settle(WedgeError(err, t.Wedge()))
+		Settle(batch, WedgeError(err, t.Wedge()))
 		return
 	}
 	for i, req := range accepted {
-		req.res.LogOffset = offs[i]
+		req.Res.LogOffset = offs[i]
 	}
 	t.Commit(epoch)
-	settle(nil)
+	Settle(batch, nil)
 }
 
 // refuse reports why the store takes no writes — ErrWedged once wedged,
@@ -682,9 +629,7 @@ func (st *Store) Stats() Stats {
 		LastApplyNS:       st.lastApplyNS.Load(),
 	}
 	snap.Release()
-	st.qmu.Lock()
-	s.QueueDepth = len(st.queue)
-	st.qmu.Unlock()
+	s.QueueDepth = st.queue.Len()
 	if st.dur != nil {
 		ls := st.dur.Log().Stats()
 		s.Durable = true

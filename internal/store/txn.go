@@ -261,7 +261,7 @@ func (t *Txn) publish(epoch uint64) {
 		Epoch: epoch,
 		st:    st.shadow,
 	})
-	st.signalPublish()
+	st.pub.Fire()
 	if t.wlog != nil {
 		// The epoch is visible: its records are immutable history now
 		// (appends are quiesced under st.mu, so Stats().Offset is exactly

@@ -52,10 +52,7 @@ func wedgeFixture(t *testing.T, hook func(i int) error) (*Store, string, func() 
 		}(i)
 	}
 	for {
-		st.qmu.Lock()
-		n := len(st.queue)
-		st.qmu.Unlock()
-		if n == writers {
+		if st.queue.Len() == writers {
 			break
 		}
 		time.Sleep(time.Millisecond)

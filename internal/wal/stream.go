@@ -161,10 +161,6 @@ func (l *Log) Path() string { return l.path }
 // immutable prefix a replication stream may serve.
 func (l *Log) Published() int64 { return l.published.Load() }
 
-// Retired reports whether the log was closed or rotated away; tails end
-// there and followers re-anchor against the successor log.
-func (l *Log) Retired() bool { return l.retired.Load() }
-
 // PublishTo marks the log's prefix through off as published. The store
 // calls it under its writer lock right after the epoch's snapshot
 // becomes visible; offsets only ever grow. Tailing readers are woken.
