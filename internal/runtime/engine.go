@@ -5,16 +5,18 @@
 // query's cost independent of |G| (the paper's central guarantee),
 // throughput under heavy traffic is gated purely by per-query constant
 // factors — which the engine attacks by reading the graph through frozen
-// CSR snapshots and caching query plans.
+// CSR snapshots.
 //
 // The engine reads and writes through one Source — a store.Store, or a
 // shard.Router over several: every evaluation pins the cut current when
 // it is admitted (one snapshot per shard, all from one commit boundary)
 // and the query evaluates against that version end to end, so concurrent
 // writers publishing new epochs never change a query's view mid-flight.
-// The plan cache survives epochs (plans depend only on the pattern and
-// the schema, which is immutable); result semantics do not — Result
-// carries the epoch it was computed at.
+// The engine caches nothing: a plan depends only on the pattern and the
+// schema, so the caller that sees the query text compiles it once and
+// passes it on Query.Plan. Result semantics do depend on the version —
+// Result carries the epoch it was computed at, and Certify decides
+// whether an answer computed at an older epoch still holds.
 package runtime
 
 import (
@@ -54,14 +56,10 @@ type Query struct {
 	Sem core.Semantics
 	// Sub configures subgraph matching (ignored for simulation).
 	Sub match.SubgraphOptions
-	// Plan, when non-nil, is used instead of planning (and caching) the
-	// pattern. It must be a plan for Pattern under the engine's schema.
-	// Without it, plans are cached by Pattern POINTER identity — reuse
-	// the same *pattern.Pattern across evaluations to hit the cache.
+	// Plan, when non-nil, is used instead of planning the pattern. It
+	// must be a plan for Pattern under the engine's schema and Sem.
+	// Without it, every evaluation plans Pattern afresh.
 	Plan *core.Plan
-	// FetchOnly stops after fetching the bounded subgraph GQ, skipping
-	// the matching phase; Result.Sub/Sim stay nil.
-	FetchOnly bool
 	// NeedFootprint records the execution's read set (see core.Footprint)
 	// and returns it on Result.Footprint — the input of the server
 	// cache's delta-intersection revalidation. Off by default: recording
@@ -131,14 +129,12 @@ type Stats struct {
 // Engine evaluates bounded pattern queries concurrently against one shared
 // Source. Construct with New (owning a fresh store over a graph + index
 // set), NewFromStore or NewFromRouter (sharing a source whose writers apply
-// live updates), feed with Eval/EvalBatch and shut down with Close. Each
+// live updates), feed with Eval and shut down with Close. Each
 // query evaluates against the cut current when it is admitted; the
 // source's writers may publish new epochs concurrently.
 type Engine struct {
 	src    Source
 	schema *access.Schema // immutable across epochs
-
-	plans sync.Map // planKey -> *planEntry
 
 	// slots is the concurrency limit: an evaluation holds one token. Close
 	// closes closed, then takes every slot, so it returns only once the
@@ -149,17 +145,6 @@ type Engine struct {
 
 	submitted, completed, failed atomic.Uint64
 	nodesAccessed, edgesAccessed atomic.Uint64
-	cachedPlans                  atomic.Int64
-}
-
-type planKey struct {
-	q   *pattern.Pattern
-	sem core.Semantics
-}
-
-type planEntry struct {
-	p   *core.Plan
-	err error
 }
 
 // New starts an engine over g and its index set, wrapping them in a fresh
@@ -210,13 +195,45 @@ func (e *Engine) Version() uint64 { return e.src.Epoch() }
 // dispatchers use this to sleep between commits without polling.
 func (e *Engine) PublishSignal() <-chan struct{} { return e.src.PublishSignal() }
 
-// ChangedSince reports the union of changes between version epoch and
-// some version S ≥ the current one — the revalidation input for caches
-// holding results computed at epoch. ok is false when the source's
-// recent-deltas ring cannot vouch for the span; see
-// store.Store.ChangedSince and shard.Router.ChangedSince.
-func (e *Engine) ChangedSince(epoch uint64) (store.ChangeSummary, bool) {
-	return e.src.ChangedSince(epoch)
+// Freshness is Certify's verdict on an answer computed at an older
+// version.
+type Freshness int
+
+const (
+	// Current: the answer's epoch is the current version or newer.
+	Current Freshness = iota
+	// Promoted: every change since the answer's epoch missed its
+	// footprint, so a fresh evaluation would return the same bytes.
+	Promoted
+	// Outrun: the source's recent-deltas ring no longer covers the span.
+	Outrun
+	// Changed: the footprint is missing, overflowed, or meets the changes.
+	Changed
+)
+
+// Certify decides whether an answer computed at epoch, whose execution
+// read the footprint fp, still holds at the current version. It is the
+// one freshness proof behind the server's result cache and the
+// subscription hub: if the source's recent-deltas ring vouches for every
+// version since epoch and no changed row or inserted/deleted node's label
+// meets fp, the answer is bit-identical at the newer version. On Current
+// it returns epoch and a nil vector; on Promoted it returns the version
+// the answer now holds at and, over a sharded source, the epoch vector a
+// fresh cut there pins (nil over a single store) — the vector a promoted
+// response must report. The other outcomes certify nothing.
+func (e *Engine) Certify(epoch uint64, fp *core.Footprint) (uint64, []uint64, Freshness) {
+	ver := e.src.Epoch()
+	if epoch >= ver {
+		return epoch, nil, Current
+	}
+	sum, ok := e.src.ChangedSince(epoch)
+	if !ok {
+		return 0, nil, Outrun
+	}
+	if sum.Epoch < ver || fp == nil || !fp.Disjoint(sum.Rows, sum.Labels) {
+		return 0, nil, Changed
+	}
+	return sum.Epoch, sum.Vector, Promoted
 }
 
 // ApplyDelta applies one delta through the source — the store's group
@@ -283,22 +300,6 @@ func (e *Engine) Eval(ctx context.Context, q Query) Result {
 	return res
 }
 
-// EvalBatch evaluates every query under ctx concurrently, within the
-// engine's limit, and returns the results in input order.
-func (e *Engine) EvalBatch(ctx context.Context, qs []Query) []Result {
-	out := make([]Result, len(qs))
-	var wg sync.WaitGroup
-	wg.Add(len(qs))
-	for i, q := range qs {
-		go func() {
-			defer wg.Done()
-			out[i] = e.Eval(ctx, q)
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
 // Close bars new evaluations, which then return ErrClosed, and waits for
 // those in flight to finish. It is idempotent and safe to call
 // concurrently with Eval and with itself.
@@ -322,58 +323,26 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// maxCachedPlans bounds the plan cache: callers that evaluate a stream of
-// never-repeated patterns (fresh pointers per query) would otherwise grow
-// the cache without bound for the engine's lifetime. At the cap the cache
-// is cleared and repopulates — refusing new entries instead would
-// permanently disable plan caching once enough distinct patterns had
-// passed through (and pin dead pattern pointers forever), while hot
-// patterns re-enter a cleared cache on their next evaluation.
-const maxCachedPlans = 4096
-
-// plan returns the (cached) bounded plan for q.
-func (e *Engine) plan(q Query) (*core.Plan, error) {
-	if q.Plan != nil {
-		return q.Plan, nil
-	}
-	key := planKey{q: q.Pattern, sem: q.Sem}
-	if v, ok := e.plans.Load(key); ok {
-		ent := v.(*planEntry)
-		return ent.p, ent.err
-	}
-	p, err := core.NewPlan(q.Pattern, e.schema, q.Sem)
-	if e.cachedPlans.Load() >= maxCachedPlans {
-		// Racing clears are harmless: the counter is a backstop, not an
-		// exact size.
-		e.plans.Clear()
-		e.cachedPlans.Store(0)
-	}
-	if _, loaded := e.plans.LoadOrStore(key, &planEntry{p: p, err: err}); !loaded {
-		e.cachedPlans.Add(1)
-	}
-	return p, err
-}
-
 // eval runs one query end to end against the pinned cut already loaded
-// into cfg.Shards: plan (cached across epochs), fetch GQ through the
-// indices, then match inside GQ and map the relation back to the source
-// graph's IDs.
+// into cfg.Shards: plan (unless the caller brought one), fetch GQ through
+// the indices, then match inside GQ and map the relation back to the
+// source graph's IDs.
 func (e *Engine) eval(q Query, cfg *core.ExecConfig, epoch uint64, vector []uint64) Result {
 	if q.Pattern == nil {
 		return Result{Err: ErrNilQuery, Epoch: epoch, Vector: vector}
 	}
-	p, err := e.plan(q)
-	if err != nil {
-		return Result{Err: err, Epoch: epoch, Vector: vector}
+	p := q.Plan
+	if p == nil {
+		var err error
+		if p, err = core.NewPlan(q.Pattern, e.schema, q.Sem); err != nil {
+			return Result{Err: err, Epoch: epoch, Vector: vector}
+		}
 	}
 	bg, stats, err := p.ExecWith(nil, nil, cfg)
 	if err != nil {
 		return Result{Err: err, Epoch: epoch, Vector: vector}
 	}
 	res := Result{BG: bg, Stats: stats, Epoch: epoch, Vector: vector, Footprint: cfg.Footprint}
-	if q.FetchOnly {
-		return res
-	}
 	// The matchers do not poll the context internally (bounding their
 	// work is SubgraphOptions.MaxSteps' job), so check at the phase
 	// boundaries: don't start matching for a dead caller, and don't

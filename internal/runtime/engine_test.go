@@ -118,7 +118,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 // TestEngineConcurrentStress hammers one engine from more goroutines than
 // it has slots with a mixed workload and checks every result against
 // precomputed serial answers. Run under -race this exercises the shared
-// graph, index set, frozen snapshot, scratch pool and plan cache.
+// graph, index set, frozen snapshot and scratch pool.
 func TestEngineConcurrentStress(t *testing.T) {
 	f := newFixture(t, 0.1, 30, 11)
 	e, err := New(f.d.G, f.idx, Config{Workers: 2})
@@ -194,8 +194,24 @@ func TestEngineConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestEngineBatchAndOptions covers EvalBatch order, FetchOnly, pre-built
-// plans, and nil-pattern errors.
+// evalAll evaluates every query under ctx on a goroutine of its own and
+// returns the results in input order.
+func evalAll(e *Engine, ctx context.Context, qs []Query) []Result {
+	out := make([]Result, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = e.Eval(ctx, q)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// TestEngineBatchAndOptions covers concurrent callers getting their own
+// results, pre-built plans, and nil-pattern errors.
 func TestEngineBatchAndOptions(t *testing.T) {
 	f := newFixture(t, 0.1, 20, 5)
 	e, err := New(f.d.G, f.idx, Config{Workers: 3})
@@ -208,11 +224,7 @@ func TestEngineBatchAndOptions(t *testing.T) {
 	for _, q := range f.simQs {
 		qs = append(qs, Query{Pattern: q, Sem: core.Simulation})
 	}
-	results := e.EvalBatch(nil, qs)
-	if len(results) != len(qs) {
-		t.Fatalf("EvalBatch returned %d results for %d queries", len(results), len(qs))
-	}
-	for i, r := range results {
+	for i, r := range evalAll(e, nil, qs) {
 		if r.Err != nil {
 			t.Fatalf("batch[%d]: %v", i, r.Err)
 		}
@@ -221,18 +233,12 @@ func TestEngineBatchAndOptions(t *testing.T) {
 		}
 	}
 
-	// FetchOnly returns GQ without a match relation.
-	r := e.Eval(nil, Query{Pattern: f.simQs[0], Sem: core.Simulation, FetchOnly: true})
-	if r.Err != nil || r.BG == nil || r.Sim != nil || r.Sub != nil {
-		t.Fatalf("FetchOnly result wrong: %+v", r)
-	}
-
 	// A pre-built plan is used as-is.
 	p, err := core.NewPlan(f.simQs[0], f.d.Schema, core.Simulation)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r = e.Eval(nil, Query{Pattern: f.simQs[0], Sem: core.Simulation, Plan: p})
+	r := e.Eval(nil, Query{Pattern: f.simQs[0], Sem: core.Simulation, Plan: p})
 	if r.Err != nil || r.Sim == nil {
 		t.Fatalf("pre-planned eval failed: %+v", r)
 	}
@@ -420,7 +426,7 @@ func TestEngineContextCancellation(t *testing.T) {
 		bcancel()
 	}()
 	cancelled := 0
-	for i, r := range e.EvalBatch(bctx, qs) {
+	for i, r := range evalAll(e, bctx, qs) {
 		switch r.Err {
 		case nil:
 			if r.Sub == nil {
@@ -448,15 +454,13 @@ func TestEngineCancelAtMatchBoundary(t *testing.T) {
 	defer e.Close()
 	q := Query{Pattern: f.subQs[0], Sem: core.Subgraph, Sub: mopt}
 
-	// Probe how many polls a FetchOnly run makes (every ExecWith poll);
-	// the full run's next poll after that is the pre-match boundary check.
+	// Probe how many polls a full run makes: every ExecWith poll, then
+	// one check before matching and one after.
 	probe := &ctxtest.CountingCtx{After: 1 << 40}
-	fq := q
-	fq.FetchOnly = true
-	if r := e.Eval(probe, fq); r.Err != nil {
+	if r := e.Eval(probe, q); r.Err != nil {
 		t.Fatalf("probe: %v", r.Err)
 	}
-	fetchPolls := probe.Calls()
+	fetchPolls := probe.Calls() - 2
 
 	r := e.Eval(&ctxtest.CountingCtx{After: fetchPolls}, q)
 	if r.Err != context.Canceled {
@@ -465,40 +469,14 @@ func TestEngineCancelAtMatchBoundary(t *testing.T) {
 	if r.Sub != nil || r.BG != nil {
 		t.Fatalf("cancelled query leaked a result: %+v", r)
 	}
+	// Only a cancel after the fetch phase keeps its access accounting, so
+	// this one landed on the boundary, not inside the fetch.
+	if r.Stats == nil {
+		t.Fatal("cancel landed inside the fetch phase, not at the match boundary")
+	}
 	// With one more allowed poll the same query completes, proving the
 	// probe really did land on the boundary.
 	if r := e.Eval(&ctxtest.CountingCtx{After: 1 << 40}, q); r.Err != nil || r.Sub == nil {
 		t.Fatalf("uncancelled rerun failed: %+v", r)
-	}
-}
-
-// TestEnginePlanCacheEpochReset: overflowing the plan cache clears and
-// repopulates it instead of disabling caching forever.
-func TestEnginePlanCacheEpochReset(t *testing.T) {
-	f := newFixture(t, 0.05, 10, 23)
-	e, err := New(f.d.G, f.idx, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	// Flood with distinct pattern pointers (clones) past the cap.
-	for i := 0; i < maxCachedPlans+8; i++ {
-		if r := e.Eval(nil, Query{Pattern: f.simQs[i%len(f.simQs)].Clone(), Sem: core.Simulation, FetchOnly: true}); r.Err != nil {
-			t.Fatalf("flood[%d]: %v", i, r.Err)
-		}
-	}
-	if got := e.cachedPlans.Load(); got <= 0 || got > maxCachedPlans {
-		t.Fatalf("cachedPlans = %d after overflow, want in (0, %d] (cache must have reset and kept caching)", got, maxCachedPlans)
-	}
-	// A hot pattern submitted after the reset is cached again: its plan
-	// entry is present on the second lookup.
-	hot := f.simQs[0]
-	for i := 0; i < 2; i++ {
-		if r := e.Eval(nil, Query{Pattern: hot, Sem: core.Simulation, FetchOnly: true}); r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	if _, ok := e.plans.Load(planKey{q: hot, sem: core.Simulation}); !ok {
-		t.Fatal("hot pattern not cached after epoch reset")
 	}
 }

@@ -118,8 +118,9 @@ func readPathSource(tb testing.TB, shards, writePairs int) runtime.Source {
 	return src
 }
 
-// BenchmarkReadPath is one read.cold query through Engine.Eval: plan
-// (cached), fetch GQ through the indexes, match inside GQ. One op is one
+// BenchmarkReadPath is one read.cold query through Engine.Eval with its
+// plan already built, as the server's are: fetch GQ through the indexes,
+// match inside GQ. One op is one
 // query, cycling through the pool; run with -benchmem to see the per-query
 // allocation count the GQ build is held to. The sub-benchmarks serve the
 // pool from one store or from two shards, either freshly built or after
@@ -144,8 +145,18 @@ func BenchmarkReadPath(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				// A plan serves only the schema it was built against.
+				qs := make([]runtime.Query, len(pool))
+				for i, q := range pool {
+					p, err := core.NewPlan(q.Pattern, eng.Schema(), q.Sem)
+					if err != nil {
+						b.Fatal(err)
+					}
+					q.Plan = p
+					qs[i] = q
+				}
 				ctx := context.Background()
-				for _, q := range pool { // warm the plan cache and the scratch pool
+				for _, q := range qs { // warm the scratch pool
 					if r := eng.Eval(ctx, q); r.Err != nil {
 						b.Fatal(r.Err)
 					}
@@ -153,7 +164,7 @@ func BenchmarkReadPath(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if r := eng.Eval(ctx, pool[i%len(pool)]); r.Err != nil {
+					if r := eng.Eval(ctx, qs[i%len(qs)]); r.Err != nil {
 						b.Fatal(r.Err)
 					}
 				}

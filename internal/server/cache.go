@@ -5,12 +5,9 @@ import (
 	"sync"
 )
 
-// lru is a small mutex-guarded LRU map. The server keeps two: the result
-// cache (normalized pattern + query args -> cacheEntry) and the
-// parsed-pattern cache (normalized pattern -> *pattern.Pattern, so repeat
-// queries present the engine with a stable pointer and hit its plan
-// cache). Hit/miss accounting lives with the caller — only the server
-// knows whether a stale result entry revalidated or recomputed.
+// lru is a small mutex-guarded LRU map: the server's one query cache
+// (cacheKey -> *cacheEntry). Hit/miss accounting lives with the caller —
+// only the server knows whether a stale entry revalidated or recomputed.
 type lru struct {
 	mu    sync.Mutex
 	cap   int
@@ -23,17 +20,13 @@ type lruEntry struct {
 	val any
 }
 
-// newLRU returns an LRU holding at most cap entries; cap <= 0 disables
-// the cache (every Get misses, Put is a no-op).
+// newLRU returns an LRU holding at most cap entries.
 func newLRU(cap int) *lru {
 	return &lru{cap: cap, order: list.New(), items: make(map[string]*list.Element)}
 }
 
 // Get returns the cached value for key, marking it most recently used.
 func (c *lru) Get(key string) (any, bool) {
-	if c.cap <= 0 {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -44,21 +37,13 @@ func (c *lru) Get(key string) (any, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-// Put inserts (or refreshes) key, evicting the least recently used entry
-// when the cache is full.
-func (c *lru) Put(key string, val any) {
-	c.PutIf(key, val, func(any) bool { return true })
-}
-
-// PutIf inserts key if absent; if key is present, the existing value is
+// PutIf inserts key if absent, evicting the least recently used entry
+// when the cache is full; if key is present, the existing value is
 // replaced only when replace(existing) says so — the decision runs under
 // the cache lock, so a slow writer racing a newer one cannot clobber it
-// (the server replaces result entries only by strictly newer epoch).
-// Either way the entry is marked most recently used.
+// (the server replaces answers only by strictly newer epoch). Either way
+// the entry is marked most recently used.
 func (c *lru) PutIf(key string, val any, replace func(existing any) bool) {
-	if c.cap <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

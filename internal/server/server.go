@@ -4,8 +4,10 @@
 // guarantee), one process can serve many concurrent clients against a big
 // graph; the server adds the production plumbing the engine itself does
 // not carry — per-request deadlines and cancellation threaded down into
-// core.ExecWith, an LRU result cache keyed by the normalized pattern and
-// query arguments, and graceful shutdown.
+// core.ExecWith, one LRU query cache keyed by the normalized pattern and
+// query arguments (holding each query's parsed pattern, its bounded plan
+// and, when the result cache is on, its last answer), and graceful
+// shutdown.
 //
 // When updates are enabled the server is a read/write store: POST /update
 // applies a graph.Delta through the engine's epoch-versioned store,
@@ -67,8 +69,9 @@ type Config struct {
 	// budget is what bounds a pathological match inside a fetched GQ.
 	// Defaults to 5,000,000 (well under a second); negative disables.
 	MaxSteps int
-	// CacheSize is the number of result-cache entries. Defaults to 512;
-	// negative disables the cache.
+	// CacheSize is the number of query-cache entries. Defaults to 512;
+	// negative disables result caching (compiled queries are still kept,
+	// up to the default count).
 	CacheSize int
 	// EnableUpdates turns on POST /update (the boundedgd -mutable flag).
 	// Off by default: a read-only deployment must not accept writes.
@@ -120,7 +123,7 @@ func (c Config) withDefaults() Config {
 		c.MaxSteps = 0 // match.SubgraphOptions: 0 = unlimited
 	}
 	if c.CacheSize == 0 {
-		c.CacheSize = 512
+		c.CacheSize = defaultCacheSize
 	}
 	if c.SubHeartbeat <= 0 {
 		c.SubHeartbeat = 15 * time.Second
@@ -131,10 +134,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// patternCacheSize bounds the normalized-text -> *pattern.Pattern cache.
-// Reusing parsed patterns gives the engine a stable pointer, so its plan
-// cache (keyed by pointer identity) hits on repeat queries.
-const patternCacheSize = 1024
+// defaultCacheSize is the query cache's default entry count.
+const defaultCacheSize = 512
 
 // QueryRequest is the body of POST /query.
 type QueryRequest struct {
@@ -338,8 +339,7 @@ type Server struct {
 	in  *graph.Interner
 	cfg Config
 
-	results  *lru // cacheKey -> *QueryResponse
-	patterns *lru // canonical text -> *pattern.Pattern
+	cache *lru // cacheKey -> *cacheEntry
 
 	// hub dispatches epoch publications to subscriptions; nil when
 	// Config.MaxSubs is negative (subscriptions disabled).
@@ -366,27 +366,43 @@ type Server struct {
 	cacheReval, cacheRecomp, cacheOut atomic.Uint64
 }
 
-// cacheEntry is one result-cache value: the cached response, the epoch
-// (or GSN) it is valid at, and the read footprint of the execution that
-// produced it. Entries are immutable — promotion to a newer epoch
+// cacheEntry is one query-cache value: the pattern parsed against the
+// served interner and its bounded plan (a plan depends only on the
+// pattern and the schema, so it survives every epoch), plus — once the
+// result cache has an answer — the cached response, the epoch (or GSN)
+// it is valid at, and the read footprint of the execution that produced
+// it. Entries are immutable: a new answer or a promotion to a newer epoch
 // replaces the entry, guarded by PutIf so a racing slower writer can
 // never roll an entry's epoch back.
 type cacheEntry struct {
-	resp  *QueryResponse
+	q    *pattern.Pattern
+	plan *core.Plan
+
+	resp  *QueryResponse // nil: compiled, no answer cached
 	epoch uint64
 	fp    *core.Footprint
+}
+
+// newer reports whether ent may replace old: an answer replaces a
+// compiled-only entry or one computed at a strictly older epoch.
+func (ent *cacheEntry) newer(old any) bool {
+	o := old.(*cacheEntry)
+	return ent.resp != nil && (o.resp == nil || o.epoch < ent.epoch)
 }
 
 // New returns a server over eng. in must be the interner shared by the
 // engine's graph and schema, so parsed patterns agree on label identity.
 func New(eng *runtime.Engine, in *graph.Interner, cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	size := cfg.CacheSize
+	if size < 0 {
+		size = defaultCacheSize
+	}
 	s := &Server{
 		eng:      eng,
 		in:       in,
 		cfg:      cfg,
-		results:  newLRU(cfg.CacheSize),
-		patterns: newLRU(patternCacheSize),
+		cache:    newLRU(size),
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
 		draining: make(chan struct{}),
@@ -473,39 +489,45 @@ func parseSem(name string) (core.Semantics, error) {
 	return 0, fmt.Errorf("unknown semantics %q (want subgraph or simulation)", name)
 }
 
-// normalize parses src and returns the canonical parsed pattern: the
-// pattern is rendered back to the DSL (normalizing whitespace, comments
-// and declaration order) and the canonical text is looked up in the
-// pattern cache, so textual variants of the same query share one
-// *pattern.Pattern — and therefore one engine plan-cache entry.
+// compile returns the cache key of a query and its entry: the cached one
+// on a hit, a freshly compiled one on a miss. src is parsed first and
+// rendered back to the DSL (normalizing whitespace, comments and
+// declaration order), so textual variants of the same query share one
+// key. On a miss the pattern is parsed against the served interner and
+// planned; a bounded pattern's entry is cached, an unbounded one's (with
+// a nil plan) is not — the engine then plans it again and reports why.
 //
-// Parsing happens against a throwaway interner first: interning is
+// The first parse runs against a throwaway interner: interning is
 // permanent, so untrusted label names must never reach the shared
 // interner (a public daemon would otherwise leak a map entry per junk
 // query for its whole lifetime). Labels unknown to the served graph are
 // rejected — no constraint can cover them, so such queries could never
 // be answered anyway.
-func (s *Server) normalize(src string) (*pattern.Pattern, string, error) {
+func (s *Server) compile(src string, sem core.Semantics, limit int) (string, *cacheEntry, error) {
 	probe, err := pattern.Parse(src, graph.NewInterner())
 	if err != nil {
-		return nil, "", err
+		return "", nil, err
 	}
-	canon := probe.String()
-	if v, ok := s.patterns.Get(canon); ok {
-		return v.(*pattern.Pattern), canon, nil
+	key := cacheKey(probe.String(), sem, limit)
+	if v, ok := s.cache.Get(key); ok {
+		return key, v.(*cacheEntry), nil
 	}
 	for _, l := range probe.LabelSet() {
 		name := probe.Interner().Name(l)
 		if _, ok := s.in.Lookup(name); !ok {
-			return nil, "", fmt.Errorf("unknown label %q", name)
+			return "", nil, fmt.Errorf("unknown label %q", name)
 		}
 	}
 	q, err := pattern.Parse(src, s.in)
 	if err != nil {
-		return nil, "", err
+		return "", nil, err
 	}
-	s.patterns.Put(canon, q)
-	return q, canon, nil
+	ent := &cacheEntry{q: q}
+	if p, err := core.NewPlan(q, s.eng.Schema(), sem); err == nil {
+		ent.plan = p
+		s.cache.PutIf(key, ent, ent.newer)
+	}
+	return key, ent, nil
 }
 
 // cacheKey identifies a query by what it asks, not when it was answered:
@@ -519,41 +541,35 @@ func cacheKey(canon string, sem core.Semantics, limit int) string {
 	return fmt.Sprintf("%d|%d|%s", sem, limit, canon)
 }
 
-// freshen decides whether a cached entry may be served at the engine's
-// current version. Current entries pass straight through; a stale entry
-// is revalidated against the recent-deltas ring: if every epoch since it
-// was computed changed nothing in its read footprint (and inserted or
-// deleted no node whose label a consulted type-1 entry lists), the answer
-// is bit-identical at the new version, so the entry is promoted in place
-// — an O(|Δ|) set intersection instead of a re-execution. Promotion is
-// refused (recompute instead) when the ring was outrun, or the footprint
-// overflowed or intersects the changes. A summary that carries an epoch
-// vector (a sharded source) restamps the promoted response with it: the
-// response must report the exact cut a fresh execution at sum.Epoch pins.
+// freshen decides whether a cached answer may be served at the engine's
+// current version (runtime.Engine.Certify is the proof). A current
+// answer passes straight through; a stale one whose footprint the
+// changes since missed is promoted in place — an O(|Δ|) set intersection
+// instead of a re-execution — restamped with the epoch vector a fresh
+// execution would pin on a sharded source. Otherwise it is recomputed,
+// and the counters say why.
 func (s *Server) freshen(key string, ent *cacheEntry) (*QueryResponse, bool) {
-	ver := s.eng.Version()
-	if ent.epoch >= ver {
+	epoch, vec, out := s.eng.Certify(ent.epoch, ent.fp)
+	switch out {
+	case runtime.Current:
 		return ent.resp, true
-	}
-	sum, ok := s.eng.ChangedSince(ent.epoch)
-	if !ok {
+	case runtime.Outrun:
 		s.cacheOut.Add(1)
 		return nil, false
-	}
-	if sum.Epoch < ver || ent.fp == nil || !ent.fp.Disjoint(sum.Rows, sum.Labels) {
+	case runtime.Changed:
 		s.cacheRecomp.Add(1)
 		return nil, false
 	}
-	resp := ent.resp
-	if sum.Vector != nil {
-		v := *ent.resp
-		v.Vector = sum.Vector
-		resp = &v
+	promoted := *ent
+	promoted.epoch = epoch
+	if vec != nil {
+		resp := *ent.resp
+		resp.Vector = vec
+		promoted.resp = &resp
 	}
-	promoted := &cacheEntry{resp: resp, epoch: sum.Epoch, fp: ent.fp}
-	s.results.PutIf(key, promoted, func(old any) bool { return old.(*cacheEntry).epoch < sum.Epoch })
+	s.cache.PutIf(key, &promoted, promoted.newer)
 	s.cacheReval.Add(1)
-	return resp, true
+	return promoted.resp, true
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -591,16 +607,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// limits from duplicating cache entries.
 		limit = 0
 	}
-	q, canon, err := s.normalize(req.Pattern)
+	key, ent, err := s.compile(req.Pattern, sem, limit)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
 	cacheOn := s.cfg.CacheSize > 0
-	key := cacheKey(canon, sem, limit)
-	if v, ok := s.results.Get(key); ok {
-		if cached, ok := s.freshen(key, v.(*cacheEntry)); ok {
+	if ent.resp != nil {
+		if cached, ok := s.freshen(key, ent); ok {
 			s.cacheHits.Add(1)
 			resp := *cached // shallow copy; cached fields are read-only
 			resp.Cached = true
@@ -609,8 +624,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.writeJSON(w, http.StatusOK, resp)
 			return
 		}
-		s.cacheMisses.Add(1)
-	} else if cacheOn {
+	}
+	if cacheOn {
 		s.cacheMisses.Add(1)
 	}
 
@@ -638,9 +653,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	res := s.eng.Eval(ctx, runtime.Query{
-		Pattern: q,
+		Pattern: ent.q,
 		Sem:     sem,
 		Sub:     match.SubgraphOptions{StoreMatches: true, MaxMatches: limit, MaxSteps: s.cfg.MaxSteps},
+		Plan:    ent.plan,
 		// The footprint makes the cached result epoch-surviving; without
 		// a cache it would be recorded for nothing.
 		NeedFootprint: cacheOn,
@@ -663,8 +679,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := &QueryResponse{Sem: sem.String(), Stats: res.Stats, Vector: res.Vector}
-	for _, u := range q.Nodes() {
-		resp.Vars = append(resp.Vars, q.Name(u))
+	for _, u := range ent.q.Nodes() {
+		resp.Vars = append(resp.Vars, ent.q.Name(u))
 	}
 	switch sem {
 	case core.Subgraph:
@@ -691,8 +707,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// may race, and the one that pinned the newer epoch must win no
 	// matter which writes last.
 	if cacheOn {
-		ent := &cacheEntry{resp: resp, epoch: res.Epoch, fp: res.Footprint}
-		s.results.PutIf(key, ent, func(old any) bool { return old.(*cacheEntry).epoch < res.Epoch })
+		next := &cacheEntry{q: ent.q, plan: ent.plan, resp: resp, epoch: res.Epoch, fp: res.Footprint}
+		s.cache.PutIf(key, next, next.newer)
 	}
 
 	out := *resp
@@ -775,16 +791,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	capacity := s.cfg.CacheSize
-	if capacity < 0 {
-		capacity = 0 // disabled reads as "no cache"
+	// A disabled result cache reads as "no cache", whatever compiled
+	// entries the LRU holds.
+	size, capacity := 0, 0
+	if s.cfg.CacheSize > 0 {
+		size, capacity = s.cache.Len(), s.cfg.CacheSize
 	}
 	resp := StatsResponse{
 		UptimeSec:   time.Since(s.start).Seconds(),
 		Constraints: s.eng.Schema().Count(),
 		Engine:      s.eng.Stats(),
 		Cache: CacheStats{
-			Size:        s.results.Len(),
+			Size:        size,
 			Capacity:    capacity,
 			Hits:        s.cacheHits.Load(),
 			Misses:      s.cacheMisses.Load(),

@@ -85,12 +85,12 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if limit > s.cfg.MaxLimit {
 		limit = s.cfg.MaxLimit
 	}
-	q, _, err := s.normalize(req.Pattern)
+	_, ent, err := s.compile(req.Pattern, core.Subgraph, limit)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sb, err := s.hub.Register(q, limit)
+	sb, err := s.hub.Register(ent.q, limit)
 	if err != nil {
 		if errors.Is(err, sub.ErrTooManySubs) {
 			s.writeError(w, http.StatusTooManyRequests, err)
@@ -105,8 +105,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		Limit:  limit,
 		Events: fmt.Sprintf("/subscribe/%d/events", sb.ID()),
 	}
-	for _, u := range q.Nodes() {
-		resp.Vars = append(resp.Vars, q.Name(u))
+	for _, u := range ent.q.Nodes() {
+		resp.Vars = append(resp.Vars, ent.q.Name(u))
 	}
 	s.served.Add(1)
 	s.writeJSON(w, http.StatusOK, resp)

@@ -68,8 +68,9 @@ func (e *env) getStats(t *testing.T) StatsResponse {
 }
 
 // TestServerCacheInvalidationOnUpdate is the stale-cache regression test:
-// after POST /update lands, neither the result cache nor the parsed
-// pattern/plan caches may reproduce a pre-update answer.
+// after POST /update lands, the query cache — whose entries keep the
+// parsed pattern and its plan across epochs — may not reproduce a
+// pre-update answer.
 func TestServerCacheInvalidationOnUpdate(t *testing.T) {
 	d, years := miniDataset(t, 10)
 	e := newEnv(t, d, Config{EnableUpdates: true})
@@ -82,8 +83,7 @@ func TestServerCacheInvalidationOnUpdate(t *testing.T) {
 	if first.Cached {
 		t.Fatal("first answer claims cached")
 	}
-	// Warm every layer: the result cache, the parsed-pattern cache and —
-	// through the stable pattern pointer — the engine's plan cache.
+	// Warm the cache entry: the compiled pattern and plan, and the answer.
 	var warm QueryResponse
 	if e.post(t, req, &warm); !warm.Cached {
 		t.Fatal("repeat answer not cached")

@@ -7,6 +7,7 @@ package shard_test
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"boundedg/internal/access"
@@ -84,10 +85,11 @@ func BenchmarkShardedApply(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedQuery measures read throughput: one op is an EvalBatch
-// of every effectively bounded query in the standard 20-query load, both
-// semantics, served by a 4-worker engine — over one snapshot
-// ("unsharded") or a consistent cut with scatter/gather fetches.
+// BenchmarkShardedQuery measures read throughput: one op evaluates every
+// effectively bounded query in the standard 20-query load, both
+// semantics, each on a goroutine of its own, served by a 4-worker
+// engine — over one snapshot ("unsharded") or a consistent cut with
+// scatter/gather fetches.
 func BenchmarkShardedQuery(b *testing.B) {
 	d0 := workload.IMDb(0.3, 5)
 	qs := workload.DefaultQueryGen.Generate(d0, 20, 4)
@@ -108,11 +110,17 @@ func BenchmarkShardedQuery(b *testing.B) {
 		defer eng.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, res := range eng.EvalBatch(nil, queries) {
-				if res.Err != nil {
-					b.Fatal(res.Err)
-				}
+			var wg sync.WaitGroup
+			for _, q := range queries {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if res := eng.Eval(nil, q); res.Err != nil {
+						b.Error(res.Err)
+					}
+				}()
 			}
+			wg.Wait()
 		}
 	}
 	b.Run("unsharded", func(b *testing.B) {

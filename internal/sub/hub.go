@@ -5,10 +5,10 @@
 // publish signal. On each published epoch it walks the registered
 // subscriptions and, per subscription, either proves the answer
 // unchanged (the retained read footprint is disjoint from the changed
-// rows and labels the changelog ring reports — the same proof the
-// server's result cache uses for revalidation) or re-evaluates the
-// pattern at the current snapshot and diffs against the retained
-// previous answer. Diffs land in a bounded per-subscription queue; a
+// rows and labels the changelog ring reports — runtime.Engine.Certify,
+// the same proof the server's result cache uses for revalidation) or
+// re-evaluates the pattern at the current snapshot and diffs against
+// the retained previous answer. Diffs land in a bounded per-subscription queue; a
 // consumer that falls behind loses the incremental stream — the queue
 // is wiped and a resync (full answer) is forced — so a slow or stalled
 // consumer never costs the commit path or the dispatcher more than a
@@ -113,9 +113,10 @@ func NewHub(eng *runtime.Engine, cfg Config) *Hub {
 
 // Register adds a subscription for pat (subgraph semantics) whose
 // answers are capped at limit matches. The pattern must be parsed
-// against the engine's interner; reusing one *pattern.Pattern across
-// subscriptions shares the engine's plan-cache entry.
+// against the engine's interner. It is planned once, here; an unbounded
+// pattern registers with no plan, and its first evaluation reports why.
 func (h *Hub) Register(pat *pattern.Pattern, limit int) (*Sub, error) {
+	plan, _ := core.NewPlan(pat, h.eng.Schema(), core.Subgraph)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -129,6 +130,7 @@ func (h *Hub) Register(pat *pattern.Pattern, limit int) (*Sub, error) {
 		id:     h.nextID,
 		h:      h,
 		pat:    pat,
+		plan:   plan,
 		limit:  limit,
 		poke:   make(chan struct{}, 1),
 		closed: make(chan struct{}),
@@ -232,7 +234,7 @@ func (h *Hub) run() {
 // resync-pending subscriptions are skipped outright — their next
 // attach or resync full-evaluates anyway, so a slow consumer costs the
 // dispatcher nothing. Otherwise the footprint proof is tried first:
-// if every epoch in (certified, ver] changed no row or label the last
+// if every epoch since certified changed no row or label the last
 // evaluation read, the answer is bit-identical and only the certified
 // mark advances. Only then does an engine re-evaluation run.
 func (h *Hub) dispatchOne(s *Sub, ver uint64) {
@@ -247,16 +249,14 @@ func (h *Hub) dispatchOne(s *Sub, ver uint64) {
 	if idle {
 		return
 	}
-	if s.fp != nil {
-		if sum, ok := h.eng.ChangedSince(s.certified); ok && sum.Epoch >= ver && s.fp.Disjoint(sum.Rows, sum.Labels) {
-			s.certified = sum.Epoch
-			if sum.Vector != nil {
-				s.vector = sum.Vector
-			}
-			s.cert.Store(s.certified)
-			h.skipped.Add(1)
-			return
+	if epoch, vec, out := h.eng.Certify(s.certified, s.fp); out == runtime.Current || out == runtime.Promoted {
+		s.certified = epoch
+		if vec != nil {
+			s.vector = vec
 		}
+		s.cert.Store(epoch)
+		h.skipped.Add(1)
+		return
 	}
 	res := h.eval(context.Background(), s)
 	if res.Err != nil || res.Sub == nil {
@@ -296,6 +296,7 @@ func (h *Hub) eval(ctx context.Context, s *Sub) runtime.Result {
 	h.evals.Add(1)
 	return h.eng.Eval(ctx, runtime.Query{
 		Pattern:       s.pat,
+		Plan:          s.plan,
 		Sem:           core.Subgraph,
 		Sub:           match.SubgraphOptions{StoreMatches: true, MaxMatches: s.limit, MaxSteps: h.cfg.MaxSteps},
 		NeedFootprint: true,
@@ -321,6 +322,7 @@ type Sub struct {
 	id    uint64
 	h     *Hub
 	pat   *pattern.Pattern
+	plan  *core.Plan // nil: pat is not bounded
 	limit int
 
 	// smu guards the retained evaluation state.
