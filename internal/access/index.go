@@ -17,8 +17,24 @@ import (
 // neighbor labeled l to the list of those common neighbors. Lookup cost is
 // O(answer) — meeting the paper's requirement of O(N) time independent of
 // |G|. This replaces the MySQL tables the paper's prototype used.
+//
+// An index has two forms. The maps below are the writer's: maintenance
+// reads and edits them. Lookup reads only rf, the pointer-free read form
+// (see readForm), which every constructor builds and every mutating call
+// (StageDelta, Rollback, ReplayDelta, ApplyDeltaTx) refreshes before it
+// returns, from the entries its maintenance touched.
 type Index struct {
 	c Constraint
+
+	// rf is the read form of the entries below as of the last mutating
+	// call's return.
+	rf *readForm
+	// dirty and dirtyTuples record the entries maintenance touched since
+	// rf was built: map keys, or for |S| > 2 the entries' encoded tuples
+	// (an intern ID does not outlive its entry). Recording starts once rf
+	// exists, so building an index records nothing.
+	dirty       []uint64
+	dirtyTuples []string
 
 	// entries maps the key of VS (see keyOf) to the entry holding the
 	// common l-labeled neighbors of VS. For type-1 constraints the single
@@ -150,6 +166,7 @@ func BuildIndex(g *graph.Graph, c Constraint) *Index {
 	for _, v := range g.NodesByLabel(c.L) {
 		x.addRow(g, v)
 	}
+	x.rf = x.freeze()
 	return x
 }
 
@@ -246,6 +263,28 @@ func (x *Index) insert(vs []graph.NodeID, v graph.NodeID) {
 	}
 	e.add(v)
 	addKey(x.memberKeys, v, key)
+	x.touch(key, e)
+}
+
+// touch records that the entry e under key changed, for the next refresh
+// of the read form.
+func (x *Index) touch(key uint64, e *indexEntry) {
+	switch {
+	case x.rf == nil:
+	case x.tupleIDs != nil:
+		x.dirtyTuples = append(x.dirtyTuples, e.tuple)
+	default:
+		x.dirty = append(x.dirty, key)
+	}
+}
+
+// refresh brings the read form up to date with the entries maintenance
+// touched since it was built.
+func (x *Index) refresh() {
+	if len(x.dirty) > 0 || len(x.dirtyTuples) > 0 {
+		x.rf = x.rf.refresh(x)
+		x.dirty, x.dirtyTuples = x.dirty[:0], x.dirtyTuples[:0]
+	}
 }
 
 // addKey registers key under node v in a reverse map.
@@ -295,13 +334,6 @@ func (x *Index) dropEntryKey(key uint64) {
 	delete(x.entries, key)
 }
 
-// removeRow deletes node v from every entry it appears in, preserving the
-// ascending entry order insert maintains.
-func (x *Index) removeRow(v graph.NodeID) {
-	x.scrEmptied = x.removeRowKeep(v, x.scrEmptied[:0])
-	x.dropIfEmpty(x.scrEmptied)
-}
-
 // removeRowKeep removes v from every entry it appears in but defers
 // dropping the entries this empties, appending their keys to dst. The
 // maintenance path re-derives the row right after the removal, and a
@@ -312,6 +344,7 @@ func (x *Index) removeRow(v graph.NodeID) {
 func (x *Index) removeRowKeep(v graph.NodeID, dst []uint64) []uint64 {
 	for key := range x.memberKeys[v] {
 		e := x.entries[key]
+		x.touch(key, e)
 		for i, w := range e.members {
 			if w == v {
 				e.members = append(e.members[:i], e.members[i+1:]...)
@@ -345,7 +378,9 @@ func (x *Index) purgeVSNode(c graph.NodeID) {
 		return
 	}
 	for key := range keys {
-		for _, w := range x.entries[key].members {
+		e := x.entries[key]
+		x.touch(key, e)
+		for _, w := range e.members {
 			dropKey(x.memberKeys, w, key)
 		}
 		x.dropEntryKey(key)
@@ -355,20 +390,20 @@ func (x *Index) purgeVSNode(c graph.NodeID) {
 
 // Lookup returns the common l-labeled neighbors of the S-labeled set vs.
 // The order of vs does not matter. The returned slice is shared; do not
-// mutate it. Lookup time is O(len(result)); for |S| <= 2 the probe is one
-// word-keyed map access and allocation-free.
+// mutate it. Lookup reads only the read form and never allocates: for
+// |S| <= 1 the probe is an array index, for |S| >= 2 a probe of a static
+// open-addressing table, and an entry a refresh patched walks at most
+// maxFormDepth small tables before the root.
 func (x *Index) Lookup(vs []graph.NodeID) []graph.NodeID {
 	if x.c.Type1() {
-		return x.entries[0].membersOrNil()
+		return x.rf.lookup(0, nil)
 	}
 	if len(vs) != len(x.c.S) {
 		return nil
 	}
-	key, _, ok := x.keyOf(vs, false)
-	if !ok {
-		return nil
-	}
-	return x.entries[key].membersOrNil()
+	var buf [8]graph.NodeID
+	key, tuple := formKey(vs, buf[:0])
+	return x.rf.lookup(key, tuple)
 }
 
 // membersOrNil is the nil-safe member accessor for lookup paths probing
@@ -531,6 +566,7 @@ func (x *Index) clone() *Index {
 		vsKeys:     make(map[graph.NodeID]map[uint64]struct{}, len(x.vsKeys)),
 		tupleIDs:   maps.Clone(x.tupleIDs),
 		nextTuple:  x.nextTuple,
+		rf:         x.rf, // immutable, so the copies share it
 	}
 	for k, e := range x.entries {
 		c.entries[k] = &indexEntry{members: slices.Clone(e.members), tuple: e.tuple}
@@ -641,6 +677,11 @@ func (s *IndexSet) Split(n int, owner func(graph.NodeID) int) []*IndexSet {
 			}
 		}
 	}
+	for _, p := range parts {
+		for _, x := range p.indexes {
+			x.rf = x.freeze()
+		}
+	}
 	return parts
 }
 
@@ -694,7 +735,15 @@ func (s *IndexSet) ReplayDelta(g *graph.Graph, d *graph.Delta, rows []graph.Node
 		}
 	}
 	s.maintainRows(g, rows)
+	s.refresh()
 	return nil
+}
+
+// refresh brings every index's read form up to date with its maps.
+func (s *IndexSet) refresh() {
+	for _, x := range s.indexes {
+		x.refresh()
+	}
 }
 
 // ViolationError is the error ApplyDeltaTx returns for a delta rejected

@@ -120,6 +120,7 @@ func ReadIndexSet(r io.Reader, in *graph.Interner) (*IndexSet, error) {
 				x.insert(e.VS, m)
 			}
 		}
+		x.rf = x.freeze()
 		set.indexes[i] = x
 	}
 	return set, nil

@@ -97,6 +97,7 @@ func (s *IndexSet) StageDelta(g *graph.Graph, d *graph.Delta) (*StagedDelta, err
 		}
 	}
 	s.maintainRows(g, rows)
+	s.refresh()
 	touched := rows // Touched = changed ∪ new = rows ∪ extra; both read-only once staged
 	if len(extra) > 0 {
 		touched = make([]graph.NodeID, 0, len(rows)+len(extra))
@@ -183,4 +184,5 @@ func (sd *StagedDelta) Rollback() {
 		rollback = append(append(rollback, sd.rows...), sd.extra...)
 	}
 	sd.s.maintainRows(sd.g, rollback)
+	sd.s.refresh()
 }

@@ -58,10 +58,10 @@ type BoundedGraph struct {
 // reproduces the defaults.
 type ExecConfig struct {
 	// Frozen, when non-nil, must be a snapshot of the graph being
-	// queried; edge-direction checks then binary-search its sorted
-	// adjacency instead of probing the graph's edge map. Long-lived
-	// callers (the runtime engine) freeze once and amortize across
-	// queries.
+	// queried; edge verification then intersects each probe part with
+	// the fixed endpoint's sorted row instead of probing the graph's edge
+	// map once per candidate. Long-lived callers (the runtime engine)
+	// freeze once and amortize across queries.
 	Frozen *graph.Frozen
 	// Scratch, when non-nil, reuses per-execution buffers (dense sets
 	// and the GQ remap table) across queries. A scratch serves one
@@ -121,6 +121,7 @@ type ExecScratch struct {
 	refetch []graph.NodeID    // an op's result for an already-fetched node
 	tuple   []graph.NodeID    // the enumeration's reused tuple
 	keys    []uint64          // verified GQ edges, PackEdge(from, to)
+	common  []graph.NodeID    // one probe part's intersection with a row
 	keyRows []uint64          // keys bucketed by source, for sortEdgeKeys
 	rowEnd  []int32           // per-source bucket bounds, for sortEdgeKeys
 	probe   probeBuf          // the probe buffers
@@ -230,8 +231,10 @@ func (c *strideChecker) cancelled() bool {
 
 // Exec runs the plan against g using the pre-built index set, fetching the
 // bounded subgraph GQ. It accesses g only through the constraint indices
-// (plus O(1) direction checks on already-fetched edge candidates), so the
-// work is determined by Q and A, independent of |G|.
+// (plus a direction check per edge candidate the indexes return: with a
+// frozen snapshot, one intersection of each probe part with the fixed
+// endpoint's sorted row), so the work is determined by Q and A,
+// independent of |G|.
 func (p *Plan) Exec(g *graph.Graph, idx *access.IndexSet) (*BoundedGraph, *ExecStats, error) {
 	return p.ExecWith(g, idx, nil)
 }
@@ -441,8 +444,14 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 	// Edge verification through the covering constraints' indices. Every
 	// verified edge appends its packed GQ key; sorting and compacting the
 	// keys afterwards yields GQ's edge set in CSR order, so each entry's
-	// parts are walked in place, unmerged.
+	// parts are walked in place, unmerged. Within one tuple the other
+	// endpoint vo is fixed, so when every shard carries a frozen snapshot
+	// the direction check is one intersection per part with vo's sorted
+	// row on its owner, which holds vo's full adjacency: Out(vo) when vo
+	// is the edge's source, In(vo) when it is the target. Without one (a
+	// mutable row is unsorted) each candidate is checked on its own.
 	keys := scratch.keys[:0]
+	rows := rd.frozen()
 	for _, ec := range p.EdgeChecks {
 		if err := ctxErr(); err != nil {
 			release()
@@ -463,6 +472,29 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 			scratch.probe.parts = parts
 			stats.IndexLookups++
 			vo := tuple[oi]
+			if rows {
+				var row []graph.NodeID
+				if fz := rd.home(vo).Fz; ec.Target == ec.To {
+					row = fz.Out(vo)
+				} else {
+					row = fz.In(vo)
+				}
+				for _, cands := range parts {
+					stats.EdgesAccessed += len(cands)
+					common := appendCommon(scratch.common[:0], cands, row)
+					scratch.common = common
+					for _, vt := range common {
+						if target.Has(vt) {
+							if ec.Target == ec.To {
+								keys = append(keys, graph.PackEdge(graph.NodeID(remap[vo]-1), graph.NodeID(remap[vt]-1)))
+							} else {
+								keys = append(keys, graph.PackEdge(graph.NodeID(remap[vt]-1), graph.NodeID(remap[vo]-1)))
+							}
+						}
+					}
+				}
+				return true
+			}
 			for _, cands := range parts {
 				stats.EdgesAccessed += len(cands)
 				for _, vt := range cands {
@@ -474,8 +506,8 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 						vf, vtto = vo, vt
 					}
 					// The index certifies neighborship; confirm direction
-					// on the fetched pair (an O(1) check).
-					if rd.hasEdge(vf, vtto) {
+					// on the fetched pair.
+					if rd.g(vf).HasEdge(vf, vtto) {
 						keys = append(keys, graph.PackEdge(graph.NodeID(remap[vf]-1), graph.NodeID(remap[vtto]-1)))
 					}
 				}
@@ -534,14 +566,57 @@ func (rd *reader) labelOf(v graph.NodeID) graph.Label { return rd.home(v).G.Labe
 
 func (rd *reader) valueOf(v graph.NodeID) graph.Value { return rd.home(v).G.ValueOf(v) }
 
-// hasEdge checks the edge on from's owner: by binary search in its frozen
-// snapshot when it has one, else in its graph's edge map.
-func (rd *reader) hasEdge(from, to graph.NodeID) bool {
-	sv := rd.home(from)
-	if sv.Fz != nil {
-		return sv.Fz.HasEdge(from, to)
+// g returns the graph of v's owner.
+func (rd *reader) g(v graph.NodeID) *graph.Graph { return rd.home(v).G }
+
+// frozen reports whether every shard carries a frozen snapshot, whose
+// sorted rows edge verification intersects.
+func (rd *reader) frozen() bool {
+	for i := range rd.shards {
+		if rd.shards[i].Fz == nil {
+			return false
+		}
 	}
-	return sv.G.HasEdge(from, to)
+	return true
+}
+
+// appendCommon appends to dst the elements common to a and b, both
+// ascending and duplicate-free, in ascending order. It walks the shorter
+// slice and gallops through the longer one (an exponential probe, then a
+// binary search inside the bracket), so the cost is O(s log(l/s)) for
+// lengths s <= l: a merge when the sizes are close, a search per element
+// when they are far apart. Galloping is leapfrog triejoin's seek
+// (Veldhuizen, ICDT 2014).
+func appendCommon(dst, a, b []graph.NodeID) []graph.NodeID {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	for _, x := range a {
+		if len(b) == 0 {
+			break
+		}
+		if b[0] < x {
+			// b[lo] < x; find the first element >= x in b[lo+1:hi].
+			lo, hi := 0, 1
+			for hi < len(b) && b[hi] < x {
+				lo, hi = hi, 2*hi
+			}
+			hi = min(hi, len(b))
+			for lo++; lo < hi; {
+				if mid := int(uint(lo+hi) >> 1); b[mid] < x {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			b = b[lo:]
+		}
+		if len(b) > 0 && b[0] == x {
+			dst = append(dst, x)
+			b = b[1:]
+		}
+	}
+	return dst
 }
 
 // probeBuf is the reusable probe buffers: the parts of the entry being

@@ -33,6 +33,9 @@ func readPathPool(tb testing.TB) (*graph.Graph, *access.IndexSet, []runtime.Quer
 	if viols != nil {
 		tb.Fatalf("generated graph violates its schema: %v", viols[0])
 	}
+	// Candidates are screened the way the engine reads: through a frozen
+	// snapshot, so the screen's edge checks intersect sorted rows too.
+	cfg := &core.ExecConfig{Frozen: ds.G.Freeze()}
 	var pool []runtime.Query
 	for _, q := range workload.DefaultQueryGen.Generate(ds, poolCandidates, 2) {
 		if len(pool) == poolSize {
@@ -42,7 +45,7 @@ func readPathPool(tb testing.TB) (*graph.Graph, *access.IndexSet, []runtime.Quer
 		if len(pool)%2 == 1 {
 			sem = core.Simulation
 		}
-		if !completeBounded(q, sem, ds.G, idx, sub) {
+		if !completeBounded(q, sem, ds.G, idx, sub, cfg) {
 			continue
 		}
 		pool = append(pool, runtime.Query{Pattern: q, Sem: sem, Sub: sub})
@@ -53,16 +56,16 @@ func readPathPool(tb testing.TB) (*graph.Graph, *access.IndexSet, []runtime.Quer
 	return ds.G, idx, pool
 }
 
-func completeBounded(q *pattern.Pattern, sem core.Semantics, g *graph.Graph, idx *access.IndexSet, sub match.SubgraphOptions) bool {
+func completeBounded(q *pattern.Pattern, sem core.Semantics, g *graph.Graph, idx *access.IndexSet, sub match.SubgraphOptions, cfg *core.ExecConfig) bool {
 	p, err := core.NewPlan(q, idx.Schema(), sem)
 	if err != nil {
 		return false
 	}
 	if sem == core.Simulation {
-		_, _, err = p.EvalSim(g, idx)
+		_, _, err = p.EvalSimWith(g, idx, cfg)
 		return err == nil
 	}
-	res, _, err := p.EvalSubgraph(g, idx, sub)
+	res, _, err := p.EvalSubgraphWith(g, idx, sub, cfg)
 	return err == nil && res.Completed
 }
 

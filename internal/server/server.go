@@ -377,6 +377,11 @@ type Server struct {
 type cacheEntry struct {
 	q    *pattern.Pattern
 	plan *core.Plan
+	// planErr is the plan error of a pattern the schema does not bound
+	// (plan is then nil). Boundedness depends only on the pattern and the
+	// schema, so the entry answers every repeat with the same 422 and the
+	// query never reaches the engine.
+	planErr error
 
 	resp  *QueryResponse // nil: compiled, no answer cached
 	epoch uint64
@@ -494,8 +499,8 @@ func parseSem(name string) (core.Semantics, error) {
 // rendered back to the DSL (normalizing whitespace, comments and
 // declaration order), so textual variants of the same query share one
 // key. On a miss the pattern is parsed against the served interner and
-// planned; a bounded pattern's entry is cached, an unbounded one's (with
-// a nil plan) is not — the engine then plans it again and reports why.
+// planned, and the entry is cached: a bounded pattern's with its plan, an
+// unbounded one's with the plan error that answers it (see planErr).
 //
 // The first parse runs against a throwaway interner: interning is
 // permanent, so untrusted label names must never reach the shared
@@ -523,10 +528,16 @@ func (s *Server) compile(src string, sem core.Semantics, limit int) (string, *ca
 		return "", nil, err
 	}
 	ent := &cacheEntry{q: q}
-	if p, err := core.NewPlan(q, s.eng.Schema(), sem); err == nil {
+	p, err := core.NewPlan(q, s.eng.Schema(), sem)
+	switch {
+	case err == nil:
 		ent.plan = p
-		s.cache.PutIf(key, ent, ent.newer)
+	case errors.Is(err, core.ErrNotBounded):
+		ent.planErr = err
+	default:
+		return key, ent, nil
 	}
+	s.cache.PutIf(key, ent, ent.newer)
 	return key, ent, nil
 }
 
@@ -627,6 +638,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if cacheOn {
 		s.cacheMisses.Add(1)
+	}
+	if ent.planErr != nil {
+		s.writeError(w, http.StatusUnprocessableEntity, ent.planErr)
+		return
 	}
 
 	// The request context already dies with the client connection; layer

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -591,5 +593,69 @@ func TestServerMaxStepsBudget(t *testing.T) {
 	}
 	if got.Complete {
 		t.Fatal("one-step budget reported a complete search")
+	}
+}
+
+// TestUnboundedPatternCachedNegatively pins the negative cache entry: an
+// unbounded pattern is planned once, and every request for it — the
+// first included — is answered with a 422 from the entry's plan error,
+// never reaching the engine. The body is byte-identical to the one an
+// evaluation of the pattern would produce.
+func TestUnboundedPatternCachedNegatively(t *testing.T) {
+	d := workload.IMDb(0.25, 1)
+	e := newEnv(t, d, Config{})
+	var src string
+	for _, q := range workload.DefaultQueryGen.Generate(d, 50, 3) {
+		if _, err := core.NewPlan(q, d.Schema, core.Subgraph); err != nil {
+			src = q.String()
+			break
+		}
+	}
+	if src == "" {
+		t.Fatal("no unbounded pattern generated")
+	}
+	post := func() (int, []byte) {
+		t.Helper()
+		body, err := json.Marshal(QueryRequest{Pattern: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(e.ts.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
+	}
+	before := e.eng.Stats().Submitted
+	st1, body1 := post()
+	st2, body2 := post()
+	if st1 != http.StatusUnprocessableEntity || st2 != http.StatusUnprocessableEntity {
+		t.Fatalf("statuses %d, %d; want 422 twice", st1, st2)
+	}
+	if !bytes.Equal(body1, body2) {
+		t.Fatalf("repeat body %q, first %q", body2, body1)
+	}
+	if got := e.eng.Stats().Submitted; got != before {
+		t.Fatalf("engine.Submitted moved %d -> %d: an unbounded repeat reached Eval", before, got)
+	}
+	// The body an evaluation produces: the engine plans the pattern and
+	// fails with the same error.
+	q, err := pattern.Parse(src, d.In)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := e.eng.Eval(context.Background(), runtime.Query{Pattern: q, Sem: core.Subgraph})
+	if !errors.Is(res.Err, core.ErrNotBounded) {
+		t.Fatalf("evaluation error %v, want ErrNotBounded", res.Err)
+	}
+	rec := httptest.NewRecorder()
+	e.srv.writeError(rec, http.StatusUnprocessableEntity, res.Err)
+	if !bytes.Equal(rec.Body.Bytes(), body1) {
+		t.Fatalf("cached body %q, evaluated %q", body1, rec.Body.Bytes())
 	}
 }
