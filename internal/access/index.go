@@ -263,7 +263,27 @@ func (x *Index) insert(vs []graph.NodeID, v graph.NodeID) {
 	}
 	e.add(v)
 	addKey(x.memberKeys, v, key)
-	x.touch(key, e)
+}
+
+// touchChanged records the entries a row's re-derivation changed, given
+// the row's entry keys before (old) and after (cur): the entries it left
+// and the ones it joined. It takes the row out of every entry and puts it
+// back into most of them, and an entry the row left and rejoined is as it
+// was. Entries still hold their tuples here: dropIfEmpty runs after.
+func (x *Index) touchChanged(old, cur map[uint64]struct{}) {
+	if x.rf == nil {
+		return
+	}
+	for key := range old {
+		if _, ok := cur[key]; !ok {
+			x.touch(key, x.entries[key])
+		}
+	}
+	for key := range cur {
+		if _, ok := old[key]; !ok {
+			x.touch(key, x.entries[key])
+		}
+	}
 }
 
 // touch records that the entry e under key changed, for the next refresh
@@ -344,7 +364,6 @@ func (x *Index) dropEntryKey(key uint64) {
 func (x *Index) removeRowKeep(v graph.NodeID, dst []uint64) []uint64 {
 	for key := range x.memberKeys[v] {
 		e := x.entries[key]
-		x.touch(key, e)
 		for i, w := range e.members {
 			if w == v {
 				e.members = append(e.members[:i], e.members[i+1:]...)
@@ -612,10 +631,12 @@ func (s *IndexSet) maintainRows(g *graph.Graph, rows []graph.NodeID) {
 				// — every index must be checked for stale membership.)
 				continue
 			}
+			old := x.memberKeys[v]
 			x.scrEmptied = x.removeRowKeep(v, x.scrEmptied[:0])
 			if live && own {
 				x.addRow(g, v)
 			}
+			x.touchChanged(old, x.memberKeys[v])
 			x.dropIfEmpty(x.scrEmptied)
 		}
 	}
@@ -626,14 +647,10 @@ func (s *IndexSet) maintainRows(g *graph.Graph, rows []graph.NodeID) {
 // against the global entry a row partition splits up.
 func (s *IndexSet) EntryLen(te TouchedEntry) int {
 	x := s.indexes[te.CIdx]
-	key := te.Key
 	if te.tuple != "" {
-		var ok bool
-		if key, ok = x.tupleIDs[te.tuple]; !ok {
-			return 0
-		}
+		return len(x.tupleEntry(te.tuple).membersOrNil())
 	}
-	return len(x.entries[key].membersOrNil())
+	return len(x.entries[te.Key].membersOrNil())
 }
 
 // RebindSchema swaps the set's schema for an equivalent one. Recovery

@@ -209,6 +209,14 @@ func (f *readForm) marked(pos uint64) bool {
 	return w >= uint64(len(f.dirty)) || f.dirty[w].Load()&(1<<(pos&63)) != 0
 }
 
+// mark sets key's bit in the chain's dirty bitset, if its position lies
+// inside it (one past it reads as marked anyway).
+func (f *readForm) mark(key uint64) {
+	if pos := f.pos(key); pos>>6 < uint64(len(f.dirty)) {
+		f.dirty[pos>>6].Or(1 << (pos & 63))
+	}
+}
+
 // freeze builds x's root read form from its maps: two passes over the
 // entries for a direct form, one for a table, and no sort.
 func (x *Index) freeze() *readForm {
@@ -252,6 +260,14 @@ func (x *Index) freeze() *readForm {
 	return f
 }
 
+// tupleEntry returns the entry of the encoded |S| > 2 tuple enc, or nil.
+func (x *Index) tupleEntry(enc string) *indexEntry {
+	if id, ok := x.tupleIDs[enc]; ok {
+		return x.entries[id]
+	}
+	return nil
+}
+
 // formKeyOf returns the form key (and, for |S| > 2, the tuple) of the
 // entry e stored under map key key.
 func (x *Index) formKeyOf(key uint64, e *indexEntry, buf []graph.NodeID) (uint64, []graph.NodeID) {
@@ -291,24 +307,17 @@ func (f *readForm) refresh(x *Index) *readForm {
 		nf.dirty = make([]atomic.Uint64, (bitsN+63)/64)
 	}
 	b := newTableBuilder(n, 0)
-	add := func(key uint64, tuple []graph.NodeID, e *indexEntry) {
-		if b.add(key, tuple, e.membersOrNil()) {
-			if pos := nf.pos(key); pos>>6 < uint64(len(nf.dirty)) {
-				nf.dirty[pos>>6].Or(1 << (pos & 63))
-			}
-		}
-	}
 	for _, key := range x.dirty {
-		add(key, nil, x.entries[key])
+		if b.add(key, nil, x.entries[key].membersOrNil()) {
+			nf.mark(key)
+		}
 	}
 	var buf [8]graph.NodeID
 	for _, enc := range x.dirtyTuples {
 		tuple := decodeTuple(enc, buf[:0])
-		var e *indexEntry
-		if id, ok := x.tupleIDs[enc]; ok {
-			e = x.entries[id]
+		if key := tupleHash(tuple); b.add(key, tuple, x.tupleEntry(enc).membersOrNil()) {
+			nf.mark(key)
 		}
-		add(tupleHash(tuple), tuple, e)
 	}
 	nf.patch, nf.pmembers, nf.npatch = b.t, b.mem, b.n
 	nf.patched = f.patched + nf.npatch
