@@ -22,14 +22,14 @@ import (
 // reads and edits them. Lookup reads only rf, the pointer-free read form
 // (see readForm), which every constructor builds and every mutating call
 // (StageDelta, Rollback, ReplayDelta, ApplyDeltaTx) refreshes before it
-// returns, from the entries its maintenance touched.
+// returns, from the entries its maintenance changed.
 type Index struct {
 	c Constraint
 
 	// rf is the read form of the entries below as of the last mutating
 	// call's return.
 	rf *readForm
-	// dirty and dirtyTuples record the entries maintenance touched since
+	// dirty and dirtyTuples record the entries maintenance changed since
 	// rf was built: map keys, or for |S| > 2 the entries' encoded tuples
 	// (an intern ID does not outlive its entry). Recording starts once rf
 	// exists, so building an index records nothing.
@@ -299,7 +299,7 @@ func (x *Index) touch(key uint64, e *indexEntry) {
 }
 
 // refresh brings the read form up to date with the entries maintenance
-// touched since it was built.
+// changed since it was built.
 func (x *Index) refresh() {
 	if len(x.dirty) > 0 || len(x.dirtyTuples) > 0 {
 		x.rf = x.rf.refresh(x)

@@ -26,7 +26,7 @@ import (
 // in time proportional to the entries that changed, exactly as
 // graph.Frozen.Refresh does for adjacency rows: a layer shares the root's
 // arrays and holds an open-addressing table of copies of only the entries
-// its mutations touched. A bitset shared by the chain marks every key
+// its mutations changed. A bitset shared by the chain marks every key
 // position some layer patched (the key itself for |S| <= 1, its home slot
 // in the root table otherwise), so an unmarked key reads the root arrays
 // directly; a marked one (or a key past a direct root) walks the layers

@@ -507,7 +507,7 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 					}
 					// The index certifies neighborship; confirm direction
 					// on the fetched pair.
-					if rd.g(vf).HasEdge(vf, vtto) {
+					if rd.home(vf).G.HasEdge(vf, vtto) {
 						keys = append(keys, graph.PackEdge(graph.NodeID(remap[vf]-1), graph.NodeID(remap[vtto]-1)))
 					}
 				}
@@ -565,9 +565,6 @@ func (rd *reader) matches(u pattern.Node, v graph.NodeID) bool {
 func (rd *reader) labelOf(v graph.NodeID) graph.Label { return rd.home(v).G.LabelOf(v) }
 
 func (rd *reader) valueOf(v graph.NodeID) graph.Value { return rd.home(v).G.ValueOf(v) }
-
-// g returns the graph of v's owner.
-func (rd *reader) g(v graph.NodeID) *graph.Graph { return rd.home(v).G }
 
 // frozen reports whether every shard carries a frozen snapshot, whose
 // sorted rows edge verification intersects.

@@ -459,3 +459,44 @@ func TestMergeAscendingPartitions(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendCommon checks the galloping intersection against a set-based
+// one on random ascending slices whose lengths range from equal to a
+// thousand times apart, in both argument orders.
+func TestAppendCommon(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	ascending := func(n, span int) []graph.NodeID {
+		seen := map[graph.NodeID]bool{}
+		for len(seen) < n {
+			seen[graph.NodeID(r.Intn(span))] = true
+		}
+		out := make([]graph.NodeID, 0, n)
+		for v := graph.NodeID(0); int(v) < span; v++ {
+			if seen[v] {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	for trial := 0; trial < 300; trial++ {
+		span := 50 + r.Intn(5000)
+		a := ascending(r.Intn(min(span, 8)+1), span)
+		b := ascending(r.Intn(span/2+1), span)
+		if trial%2 == 1 {
+			a, b = b, a
+		}
+		in := map[graph.NodeID]bool{}
+		for _, v := range b {
+			in[v] = true
+		}
+		var want []graph.NodeID
+		for _, v := range a {
+			if in[v] {
+				want = append(want, v)
+			}
+		}
+		if got := appendCommon(nil, a, b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("appendCommon(%v, %v) = %v, want %v", a, b, got, want)
+		}
+	}
+}
