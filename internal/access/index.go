@@ -21,13 +21,15 @@ import (
 // An index has two forms. The maps below are the writer's: maintenance
 // reads and edits them. Lookup reads only rf, the pointer-free read form
 // (see readForm), which every constructor builds and every mutating call
-// (StageDelta, Rollback, ReplayDelta, ApplyDeltaTx) refreshes before it
-// returns, from the entries its maintenance changed.
+// (StageDelta, Rollback, ApplyDeltaTx) refreshes before it returns, from
+// the entries its maintenance changed. ReplayDelta is the exception: the
+// lag replay arrives at a state whose form the paired instance already
+// holds, so the store adopts that one (ShareReadForms).
 type Index struct {
 	c Constraint
 
-	// rf is the read form of the entries below as of the last mutating
-	// call's return.
+	// rf is the read form of the entries below as of the last refresh or
+	// ShareReadForms.
 	rf *readForm
 	// dirty and dirtyTuples record the entries maintenance changed since
 	// rf was built: map keys, or for |S| > 2 the entries' encoded tuples
@@ -736,6 +738,11 @@ func (s *IndexSet) checkRows(rows []graph.NodeID) []Violation {
 // re-derivation. Touched can strictly contain the rows whose index
 // derivations had to re-run; re-deriving the extras is harmless —
 // membership is a pure function of the graph's current neighborhoods.
+//
+// The read form is not refreshed: once the lag is replayed, the caller
+// adopts the published instance's forms with ShareReadForms. Without
+// that, the next mutating call refreshes from every change recorded,
+// the replayed ones included.
 func (s *IndexSet) ReplayDelta(g *graph.Graph, d *graph.Delta, rows []graph.NodeID) error {
 	var deleted []graph.NodeID
 	for _, v := range d.DelNodes {
@@ -752,8 +759,19 @@ func (s *IndexSet) ReplayDelta(g *graph.Graph, d *graph.Delta, rows []graph.Node
 		}
 	}
 	s.maintainRows(g, rows)
-	s.refresh()
 	return nil
+}
+
+// ShareReadForms makes s read through src's read forms. s's entries must
+// equal src's, as a copy-on-write instance's do once ReplayDelta has
+// caught it up with the published one; the forms are immutable, so the
+// two instances then share one refresh chain, and the next mutation of s
+// layers on top of src's form.
+func (s *IndexSet) ShareReadForms(src *IndexSet) {
+	for i, x := range s.indexes {
+		x.rf = src.indexes[i].rf
+		x.dirty, x.dirtyTuples = x.dirty[:0], x.dirtyTuples[:0]
+	}
 }
 
 // refresh brings every index's read form up to date with its maps.

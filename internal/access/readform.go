@@ -217,19 +217,16 @@ func (f *readForm) mark(key uint64) {
 	}
 }
 
-// freeze builds x's root read form from its maps: two passes over the
-// entries for a direct form, one for a table, and no sort.
+// freeze builds x's root read form from its maps: three passes over the
+// entries for a direct form, two for a table, and no sort.
 func (x *Index) freeze() *readForm {
 	f := &readForm{arity: len(x.c.S), entries: len(x.entries)}
-	total := 0
-	for _, e := range x.entries {
+	total, maxKey := 0, uint64(0)
+	for key, e := range x.entries {
 		total += len(e.members)
+		maxKey = max(maxKey, key)
 	}
 	if f.arity <= 1 {
-		maxKey := uint64(0)
-		for key := range x.entries {
-			maxKey = max(maxKey, key)
-		}
 		if len(x.entries) == 0 {
 			f.start = make([]uint32, 1)
 			return f

@@ -82,6 +82,11 @@ func (t *Txn) begin() error {
 			panic("store: lag replay diverged: " + err.Error())
 		}
 	}
+	if len(st.lag) > 0 {
+		// The shadow now holds the published entries, whose index read
+		// forms the published instance already carries.
+		st.shadow.idx.ShareReadForms(t.cur.Idx)
+	}
 	st.lag = nil
 	return nil
 }
