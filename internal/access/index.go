@@ -82,35 +82,25 @@ type indexEntry struct {
 // Constraint returns the constraint this index serves.
 func (x *Index) Constraint() Constraint { return x.c }
 
-// keyOf maps the VS tuple vs (any order, len(vs) == |S|) to its entry key:
-// 0 for |S| = 0, the node ID for |S| = 1, the sorted pair packed like a
-// graph edge (graph.PackEdge(min, max)) for |S| = 2, and the tuple's intern
-// ID for |S| > 2. Only there can ok be false: the tuple was never
-// interned, so no entry exists. With intern set (writers only) a fresh
-// tuple is interned instead; the returned string is then the interned
-// encoding, and it is non-empty only when this call created it.
-func (x *Index) keyOf(vs []graph.NodeID, intern bool) (key uint64, fresh string, ok bool) {
-	switch len(x.c.S) {
-	case 0:
-		return 0, "", true
-	case 1:
-		return uint64(vs[0]), "", true
-	case 2:
-		a, b := vs[0], vs[1]
-		if a > b {
-			a, b = b, a
-		}
-		return graph.PackEdge(a, b), "", true
+// keyOf maps the VS tuple vs (any order, len(vs) == |S|) to its entry key,
+// interning a fresh |S| > 2 tuple. For |S| <= 2 the key is the read form's
+// (formKey: 0, the node ID, or the sorted pair packed like a graph edge);
+// for |S| > 2 it is the tuple's intern ID, and the returned string is the
+// interned encoding when this call created it, else empty.
+func (x *Index) keyOf(vs []graph.NodeID) (key uint64, fresh string) {
+	if len(x.c.S) <= 2 {
+		key, _ = formKey(vs, nil)
+		return key, ""
 	}
 	var buf [8 * binary.MaxVarintLen64]byte
 	enc := appendTuple(buf[:0], vs)
-	if key, ok = x.tupleIDs[string(enc)]; ok || !intern {
-		return key, "", ok
+	if key, ok := x.tupleIDs[string(enc)]; ok {
+		return key, ""
 	}
 	x.nextTuple++
 	fresh = string(enc)
 	x.tupleIDs[fresh] = x.nextTuple
-	return x.nextTuple, fresh, true
+	return x.nextTuple, fresh
 }
 
 // tupleOf inverts keyOf for a materialized entry's key, appending the
@@ -254,7 +244,7 @@ func (x *Index) addRow(g *graph.Graph, v graph.NodeID) {
 // exactly, for any shard count. (The on-disk snapshot codec already
 // writes members sorted, so this changes no persisted state.)
 func (x *Index) insert(vs []graph.NodeID, v graph.NodeID) {
-	key, fresh, _ := x.keyOf(vs, true)
+	key, fresh := x.keyOf(vs)
 	e, existed := x.entries[key]
 	if !existed {
 		e = &indexEntry{tuple: fresh}

@@ -91,12 +91,13 @@ func formWant(set *IndexSet, g *graph.Graph, r *rand.Rand) []formProbe {
 				for i := range vs {
 					vs[i] = graph.NodeID(r.Intn(g.Cap() + 8))
 				}
-				key, _, ok := x.keyOf(vs, false)
-				if e := x.entries[key]; ok && e != nil {
-					ps = append(ps, formProbe{ci, vs, slices.Clone(e.members)})
+				var e *indexEntry
+				if key, tuple := formKey(vs, nil); tuple != nil {
+					e = x.tupleEntry(string(appendTuple(nil, vs)))
 				} else {
-					ps = append(ps, formProbe{ci, vs, nil})
+					e = x.entries[key]
 				}
+				ps = append(ps, formProbe{ci, vs, slices.Clone(e.membersOrNil())})
 			}
 		}
 	}
