@@ -517,15 +517,20 @@ func Build(g *graph.Graph, a *Schema) (*IndexSet, []Violation) {
 // bounded-evaluation approach amortizes across queries.
 func BuildUnchecked(g *graph.Graph, a *Schema) *IndexSet {
 	s := &IndexSet{schema: a, indexes: make([]*Index, a.Count())}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Count() {
-		workers = a.Count()
-	}
+	perConstraint(a.Count(), func(i int) { s.indexes[i] = BuildIndex(g, a.At(i)) })
+	return s
+}
+
+// perConstraint calls fn(i) for every constraint index i < n on up to
+// GOMAXPROCS goroutines. The calls must be independent of each other:
+// each touches only constraint i's indexes.
+func perConstraint(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
-		for i, c := range a.Constraints() {
-			s.indexes[i] = BuildIndex(g, c)
+		for i := range n {
+			fn(i)
 		}
-		return s
+		return
 	}
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -534,16 +539,15 @@ func BuildUnchecked(g *graph.Graph, a *Schema) *IndexSet {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				s.indexes[i] = BuildIndex(g, a.At(i))
+				fn(i)
 			}
 		}()
 	}
-	for i := range a.Constraints() {
+	for i := range n {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
-	return s
 }
 
 // Validate reports whether g satisfies the cardinality constraints of A,
@@ -677,20 +681,21 @@ func (s *IndexSet) Split(n int, owner func(graph.NodeID) int) []*IndexSet {
 			parts[p].indexes[i] = newIndex(x.c)
 		}
 	}
-	var vs []graph.NodeID
-	for i, x := range s.indexes {
+	// Each constraint's parts are filled and frozen from its own entry
+	// alone, so the constraints run in parallel, as BuildUnchecked's do.
+	perConstraint(len(s.indexes), func(i int) {
+		x := s.indexes[i]
+		var vs []graph.NodeID
 		for key, entry := range x.entries {
 			vs = x.tupleOf(key, vs[:0])
 			for _, v := range entry.members {
 				parts[owner(v)].indexes[i].insert(vs, v)
 			}
 		}
-	}
-	for _, p := range parts {
-		for _, x := range p.indexes {
-			x.rf = x.freeze()
+		for _, p := range parts {
+			p.indexes[i].rf = p.indexes[i].freeze()
 		}
-	}
+	})
 	return parts
 }
 

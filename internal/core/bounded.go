@@ -10,8 +10,9 @@ import (
 )
 
 // EvalSubgraph answers an effectively bounded subgraph query on g by
-// executing the plan (fetching GQ through the indices only) and running
-// VF2 inside GQ — the paper's bVF2. Matches are reported in g's node IDs.
+// executing the plan (fetching GQ's candidate space through the indices
+// only) and running VF2 inside it — the paper's bVF2. Matches are
+// reported in g's node IDs.
 func (p *Plan) EvalSubgraph(g *graph.Graph, idx *access.IndexSet, opt match.SubgraphOptions) (*match.SubgraphResult, *ExecStats, error) {
 	return p.EvalSubgraphWith(g, idx, opt, nil)
 }
@@ -19,11 +20,11 @@ func (p *Plan) EvalSubgraph(g *graph.Graph, idx *access.IndexSet, opt match.Subg
 // EvalSubgraphWith is EvalSubgraph with an execution configuration; see
 // ExecConfig.
 func (p *Plan) EvalSubgraphWith(g *graph.Graph, idx *access.IndexSet, opt match.SubgraphOptions, cfg *ExecConfig) (*match.SubgraphResult, *ExecStats, error) {
-	bg, stats, err := p.ExecWith(g, idx, cfg)
+	bg, stats, err := p.Fetch(g, idx, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := match.VF2WithCandidatesFrozen(p.Q, bg.G, bg.Fz, bg.Cands, opt)
+	res := match.VF2InSpace(p.Q, bg.Space, opt)
 	bg.MapSubgraphResult(res)
 	return res, stats, nil
 }
@@ -44,30 +45,66 @@ func (bg *BoundedGraph) MapSimResult(res *match.SimResult) {
 	if !res.Matched {
 		return
 	}
+	var tmp []graph.NodeID
 	for ui := range res.Sim {
 		mapped := make([]graph.NodeID, len(res.Sim[ui]))
+		top := graph.NodeID(0)
 		for i, v := range res.Sim[ui] {
 			mapped[i] = bg.ToOrig[v]
+			top = max(top, mapped[i])
 		}
-		slices.Sort(mapped)
+		if len(mapped) < 256 {
+			slices.Sort(mapped)
+		} else {
+			tmp = radixSort(mapped, tmp, top)
+		}
 		res.Sim[ui] = mapped
 	}
 }
 
+// radixSort sorts ids, all in [0, top], ascending: a least-significant-
+// digit radix sort over the bytes top uses, staged through tmp, which is
+// grown as needed and returned for reuse. A relation maps thousands of
+// candidates at a time, where it beats a comparison sort severalfold.
+func radixSort(ids, tmp []graph.NodeID, top graph.NodeID) []graph.NodeID {
+	if cap(tmp) < len(ids) {
+		tmp = make([]graph.NodeID, len(ids))
+	}
+	src, dst := ids, tmp[:len(ids)]
+	for shift := 0; top>>shift > 0; shift += 8 {
+		var start [257]int
+		for _, v := range src {
+			start[(v>>shift)&0xff+1]++
+		}
+		for b := 1; b < len(start); b++ {
+			start[b] += start[b-1]
+		}
+		for _, v := range src {
+			b := (v >> shift) & 0xff
+			dst[start[b]] = v
+			start[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(ids, src) // a no-op when the passes were even
+	return tmp
+}
+
 // EvalSim answers an effectively bounded simulation query on g by
-// executing the plan and computing the maximum simulation inside GQ — the
-// paper's bSim. The relation is reported in g's node IDs.
+// executing the plan and computing the maximum simulation on GQ's
+// candidate space — the paper's bSim. The relation is reported in g's
+// node IDs.
 func (p *Plan) EvalSim(g *graph.Graph, idx *access.IndexSet) (*match.SimResult, *ExecStats, error) {
 	return p.EvalSimWith(g, idx, nil)
 }
 
 // EvalSimWith is EvalSim with an execution configuration; see ExecConfig.
 func (p *Plan) EvalSimWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (*match.SimResult, *ExecStats, error) {
-	bg, stats, err := p.ExecWith(g, idx, cfg)
+	bg, stats, err := p.Fetch(g, idx, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := match.GSimWithCandidates(p.Q, bg.G, bg.Cands)
+	res := match.GSimInSpace(p.Q, bg.Space)
 	bg.MapSimResult(res)
 	return res, stats, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"boundedg/internal/access"
 	"boundedg/internal/graph"
+	"boundedg/internal/match"
 	"boundedg/internal/pattern"
 )
 
@@ -37,15 +38,22 @@ type ExecStats struct {
 // Accessed returns the total amount of data accessed (nodes + edges).
 func (s *ExecStats) Accessed() int { return s.NodesAccessed + s.EdgesAccessed }
 
-// BoundedGraph is the subgraph GQ identified by a plan, together with the
-// per-pattern-node candidate sets (in GQ's node IDs) and the mapping back
-// to the original graph's IDs.
+// BoundedGraph is what a plan fetched: the per-pattern-node candidate sets
+// (in GQ's node IDs), the mapping back to the original graph's IDs, and
+// what the edge checks verified — as a candidate space from Fetch, as the
+// materialized subgraph GQ from ExecWith.
 type BoundedGraph struct {
-	// G is the fetched subgraph GQ (fresh node IDs).
+	// G is the fetched subgraph GQ (fresh node IDs); nil from Fetch.
 	G *graph.Graph
 	// Fz is G's frozen snapshot, built in the same pass and sharing G's
-	// adjacency arrays; matchers take it instead of re-freezing G.
+	// adjacency arrays; matchers take it instead of re-freezing G. Nil
+	// from Fetch.
 	Fz *graph.Frozen
+	// Space is the candidate space over GQ's node IDs: Cands, and for
+	// every pattern edge the verified runs between its endpoints'
+	// candidates. GQ's edges are exactly the union of its runs. Nil from
+	// ExecWith.
+	Space *match.Space
 	// Cands[u] lists GQ nodes that are candidate matches for pattern node
 	// u (maximally reduced cmat(u)).
 	Cands [][]graph.NodeID
@@ -78,9 +86,9 @@ type ExecConfig struct {
 	// sharded store's pinned cut: every index probe looks up each
 	// shard's row partition, whose ascending, disjoint parts together
 	// are exactly the global entry. Edge verification consumes the parts
-	// unmerged (its edge keys are sorted afterwards); the fetch phase,
-	// whose candidate order numbers GQ, merges them into a reused
-	// scratch buffer. Label, value and edge-direction checks route to
+	// unmerged (the space's layout puts every run in candidate order
+	// afterwards); the fetch phase, whose candidate order numbers GQ,
+	// merges them into a reused scratch buffer. Label, value and edge-direction checks route to
 	// the node's owner shard — the answer is bit-identical to the
 	// unsharded run. The g and idx arguments of ExecWith and Frozen are
 	// ignored (g and idx may be nil); ShardOf must be set to the
@@ -107,10 +115,11 @@ type ShardView struct {
 
 // ExecScratch holds the reusable buffers of one plan execution: the
 // per-op dedup set, the per-pattern-node candidate lists and sets, the
-// dense |V|-sized table mapping source node IDs to GQ IDs, and the packed
-// GQ edge keys. All are restored to their empty state on every exit path
-// of ExecWith, so reuse is O(touched) instead of O(|V|) per query, and a
-// warm scratch makes the GQ build O(1) allocations whatever its size.
+// dense |V|-sized table mapping source node IDs to GQ IDs, the candidate
+// space's staging buffers and the packed GQ edge keys. All are restored
+// to their empty state on every exit path of Fetch and ExecWith, so reuse
+// is O(touched) instead of O(|V|) per query, and a warm scratch makes the
+// space and the GQ build O(1) allocations whatever their size.
 type ExecScratch struct {
 	seen    *graph.DenseSet
 	csets   []*graph.DenseSet
@@ -120,11 +129,22 @@ type ExecScratch struct {
 	fetched []bool            // fetched[u]: some op produced cmat[u]
 	refetch []graph.NodeID    // an op's result for an already-fetched node
 	tuple   []graph.NodeID    // the enumeration's reused tuple
-	keys    []uint64          // verified GQ edges, PackEdge(from, to)
 	common  []graph.NodeID    // one probe part's intersection with a row
-	keyRows []uint64          // keys bucketed by source, for sortEdgeKeys
-	rowEnd  []int32           // per-source bucket bounds, for sortEdgeKeys
 	probe   probeBuf          // the probe buffers
+
+	// The candidate space's build (see exec and fillSpace).
+	arrive   []graph.NodeID // every check's runs, as verified
+	checkEnd []int32        // per check: the end of its runs in arrive
+	cursor   []int32        // per GQ node: a transpose's write position
+	order    []pattern.Node // an |S| >= 2 check's deps, fixed endpoint first
+	perm     []int          // order's positions in the check's deps
+	key      []graph.NodeID // the probe key rebuilt from a reordered tuple
+
+	// GQ's build in ExecWith (see buildGQ).
+	off     []int32  // the runs' lengths, at their rows
+	keys    []uint64 // GQ edges, PackEdge(from, to)
+	keyRows []uint64 // keys bucketed by source, for sortEdgeKeys
+	rowEnd  []int32  // per-source bucket bounds, for sortEdgeKeys
 }
 
 // NewExecScratch returns an empty scratch; buffers are grown on first use.
@@ -234,22 +254,41 @@ func (c *strideChecker) cancelled() bool {
 // (plus a direction check per edge candidate the indexes return: with a
 // frozen snapshot, one intersection of each probe part with the fixed
 // endpoint's sorted row), so the work is determined by Q and A,
-// independent of |G|.
+// independent of |G|. It is ExecWith with no configuration: it builds GQ
+// as a graph, which the serving path does not (see Fetch).
 func (p *Plan) Exec(g *graph.Graph, idx *access.IndexSet) (*BoundedGraph, *ExecStats, error) {
 	return p.ExecWith(g, idx, nil)
 }
 
 // ExecWith is Exec with an execution configuration; see ExecConfig. It
-// produces exactly the same BoundedGraph and stats as Exec whatever the
-// configuration, over one graph or over a cut of any number of shards.
+// runs Fetch's loop and then materializes GQ from the runs the loop
+// verified, instead of laying them out as a candidate space: the
+// returned BoundedGraph carries G and Fz, and a nil Space. It produces
+// exactly the same BoundedGraph and stats whatever the configuration,
+// over one graph or over a cut of any number of shards.
 func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (*BoundedGraph, *ExecStats, error) {
+	return p.exec(g, idx, cfg, true)
+}
+
+// Fetch is ExecWith without GQ: it fetches the candidates and verifies
+// the pattern edges through the indices, and returns them as a candidate
+// space (BoundedGraph.Space) with Cands and ToOrig set and G and Fz nil.
+// Its stats equal ExecWith's, GQEdges included. The matchers run on the
+// space directly (match.VF2InSpace, match.GSimInSpace), which is how the
+// runtime engine and EvalSubgraphWith / EvalSimWith evaluate.
+func (p *Plan) Fetch(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (*BoundedGraph, *ExecStats, error) {
+	return p.exec(g, idx, cfg, false)
+}
+
+// exec is Fetch, followed by GQ's materialization when gq is set.
+func (p *Plan) exec(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig, gq bool) (*BoundedGraph, *ExecStats, error) {
 	var scratch *ExecScratch
 	var ctx context.Context
 	var fp *Footprint
 	// All graph and index access below goes through rd, which reads every
 	// input as a cut: an unsharded call is a 1-shard cut held here.
 	one := [1]ShardView{{G: g, Idx: idx}}
-	rd := reader{q: p.Q, shards: one[:]}
+	rd := reader{shards: one[:]}
 	if cfg != nil {
 		scratch, ctx, fp = cfg.Scratch, cfg.Ctx, cfg.Footprint
 		one[0].Fz = cfg.Frozen
@@ -322,6 +361,10 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 		if fetched[op.U] {
 			result = scratch.refetch[:0]
 		}
+		// The op's constraint fixes op.U's label (its l is fQ(op.U)), so
+		// every entry member carries it: the filter is the predicate
+		// alone, and a node without one keeps every member.
+		pred := p.Q.PredOf(op.U)
 		// Union of lookups over the product of dependency candidates (one
 		// empty tuple for a type-1 op). A probe counts as ONE index lookup
 		// accessing the sum of its parts — the row partition sums back to
@@ -337,7 +380,7 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 			stats.IndexLookups++
 			stats.NodesAccessed += len(vs)
 			for _, v := range vs {
-				if rd.matches(op.U, v) && seen.Add(v) {
+				if (pred.IsTrue() || pred.Eval(rd.valueOf(v))) && seen.Add(v) {
 					result = append(result, v)
 				}
 			}
@@ -396,10 +439,10 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 		return nil, nil, err
 	}
 
-	// Build GQ's nodes: the union of candidate sets, numbered in
-	// first-seen order. Count the distinct nodes first so every array is
-	// allocated at its final size; seen doubles as the dedup set and is
-	// drained again during the numbering.
+	// Number GQ's nodes: the union of candidate sets, in first-seen
+	// order. Count the distinct nodes first so every array is allocated
+	// at its final size; seen doubles as the dedup set and is drained
+	// again during the numbering.
 	distinct, total := 0, 0
 	for ui := 0; ui < n; ui++ {
 		total += len(cmat[ui])
@@ -410,8 +453,6 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 		}
 	}
 	bg := &BoundedGraph{Cands: make([][]graph.NodeID, n), ToOrig: make([]graph.NodeID, 0, distinct)}
-	labels := make([]graph.Label, 0, distinct)
-	values := make([]graph.Value, 0, distinct)
 	candIDs := make([]graph.NodeID, 0, total)
 	remap := scratch.getRemap(idCap) // source ID -> GQ ID + 1; all zero here
 	for ui := 0; ui < n; ui++ {
@@ -422,8 +463,6 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 				rv = int32(len(bg.ToOrig)) + 1
 				remap[v] = rv
 				bg.ToOrig = append(bg.ToOrig, v)
-				labels = append(labels, rd.labelOf(v))
-				values = append(values, rd.valueOf(v))
 				seen.Remove(v) // drain: each distinct node exactly once
 			}
 			candIDs = append(candIDs, graph.NodeID(rv-1))
@@ -432,8 +471,9 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 	}
 	stats.GQNodes = distinct
 	// release restores the remap table and candidate sets on every exit
-	// from edge verification. seen is empty throughout this phase (it was
-	// drained building GQ), so it needs no repair here.
+	// from edge verification. seen is empty on every such exit (it was
+	// drained above, and each run's dedup drains it again), so it needs no
+	// repair here.
 	release := func() {
 		for _, v := range bg.ToOrig {
 			remap[v] = 0
@@ -441,40 +481,95 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 		releaseCsets()
 	}
 
-	// Edge verification through the covering constraints' indices. Every
-	// verified edge appends its packed GQ key; sorting and compacting the
-	// keys afterwards yields GQ's edge set in CSR order, so each entry's
-	// parts are walked in place, unmerged. Within one tuple the other
-	// endpoint vo is fixed, so when every shard carries a frozen snapshot
-	// the direction check is one intersection per part with vo's sorted
-	// row on its owner, which holds vo's full adjacency: Out(vo) when vo
-	// is the edge's source, In(vo) when it is the target. Without one (a
-	// mutable row is unsorted) each candidate is checked on its own.
-	keys := scratch.keys[:0]
+	// Edge verification through the covering constraints' indices, one
+	// check per pattern edge, recorded as the candidate space: check ci
+	// owns slot ci, and its loop writes, for each candidate vo of the
+	// fixed endpoint ec.Other(), the run of verified target candidates as
+	// they come (scratch.arrive, GQ IDs). Each entry's parts are walked in
+	// place, unmerged. Within one tuple vo is fixed, so when every shard
+	// carries a frozen snapshot the direction check is one intersection
+	// per part with vo's sorted row on its owner, which holds vo's full
+	// adjacency: Out(vo) when vo is the edge's source, In(vo) when it is
+	// the target. Without one (a mutable row is unsorted) each candidate
+	// is checked on its own.
+	// off receives each run's length at its row (see spaceRows). Fetch
+	// hands it on as the space's offsets; ExecWith only reads it back,
+	// so it borrows it from the scratch.
+	nc := len(p.EdgeChecks)
+	var off []int32
+	if gq {
+		off = scratch.zeroedOff(2 * nc * (distinct + 1))
+	} else {
+		off = make([]int32, 2*nc*(distinct+1))
+	}
+	arrive := scratch.arrive[:0]
+	if cap(scratch.checkEnd) < nc+1 {
+		scratch.checkEnd = make([]int32, nc+1)
+	}
+	checkEnd := scratch.checkEnd[:nc+1] // check ci's runs are arrive[checkEnd[ci]:checkEnd[ci+1]]
+	checkEnd[0] = 0
 	rows := rd.frozen()
-	for _, ec := range p.EdgeChecks {
+	for ci, ec := range p.EdgeChecks {
 		if err := ctxErr(); err != nil {
+			scratch.arrive = arrive
 			release()
 			return nil, nil, err
 		}
 		oi := slices.Index(ec.Deps, ec.Other()) // the other endpoint's position in a tuple
 		if oi < 0 {
+			scratch.arrive = arrive
 			release()
 			return nil, nil, fmt.Errorf("core: edge check for (%s, %s) misses its endpoint dependency", p.Q.Name(ec.From), p.Q.Name(ec.To))
 		}
+		// The runs go from ec.Other()'s candidates to ec.Target's: out-runs
+		// of the edge when the target is its head, in-runs otherwise. The
+		// loop records each run's length at its row's offset slot; the
+		// prefix sums come after (fillSpace).
+		counts := off[spaceRows(ci, ec, false, distinct):][:distinct+1]
 		target := cset[ec.Target]
+		out := ec.Target == ec.To
+		// An |S| = 1 check probes once per vo, so each run is complete
+		// when written. With |S| >= 2 a vo recurs in several tuples: the
+		// enumeration puts vo slowest, so its tuples are consecutive, and
+		// seen dedups the union of their runs.
+		deps, key := scratch.otherFirst(ec.Deps, oi)
+		multi := len(deps) > 1
+		cur, curID, runLo := graph.InvalidNode, 0, 0
+		endRun := func() {
+			if cur == graph.InvalidNode {
+				return
+			}
+			counts[curID+1] = int32(len(arrive) - runLo)
+			if multi {
+				for _, w := range arrive[runLo:] {
+					seen.Remove(bg.ToOrig[w])
+				}
+			}
+			cur = graph.InvalidNode
+		}
 		chk := strideChecker{ctx: ctx}
-		scratch.forEachTuple(cmat, ec.Deps, func(tuple []graph.NodeID) bool {
+		scratch.forEachTuple(cmat, deps, func(tuple []graph.NodeID) bool {
 			if chk.cancelled() {
 				return false
 			}
-			parts := rd.probe(ec.CIdx, tuple, scratch.probe.parts[:0])
+			if vo := tuple[0]; vo != cur {
+				endRun()
+				cur, curID, runLo = vo, int(remap[vo]-1), len(arrive)
+			}
+			if multi {
+				for i, j := range scratch.perm {
+					key[j] = tuple[i]
+				}
+			} else {
+				key = tuple
+			}
+			parts := rd.probe(ec.CIdx, key, scratch.probe.parts[:0])
 			scratch.probe.parts = parts
 			stats.IndexLookups++
-			vo := tuple[oi]
+			vo := cur
 			if rows {
 				var row []graph.NodeID
-				if fz := rd.home(vo).Fz; ec.Target == ec.To {
+				if fz := rd.home(vo).Fz; out {
 					row = fz.Out(vo)
 				} else {
 					row = fz.In(vo)
@@ -484,12 +579,8 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 					common := appendCommon(scratch.common[:0], cands, row)
 					scratch.common = common
 					for _, vt := range common {
-						if target.Has(vt) {
-							if ec.Target == ec.To {
-								keys = append(keys, graph.PackEdge(graph.NodeID(remap[vo]-1), graph.NodeID(remap[vt]-1)))
-							} else {
-								keys = append(keys, graph.PackEdge(graph.NodeID(remap[vt]-1), graph.NodeID(remap[vo]-1)))
-							}
+						if target.Has(vt) && (!multi || seen.Add(vt)) {
+							arrive = append(arrive, graph.NodeID(remap[vt]-1))
 						}
 					}
 				}
@@ -502,29 +593,212 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 						continue
 					}
 					vf, vtto := vt, vo
-					if ec.Target == ec.To {
+					if out {
 						vf, vtto = vo, vt
 					}
 					// The index certifies neighborship; confirm direction
 					// on the fetched pair.
-					if rd.home(vf).G.HasEdge(vf, vtto) {
-						keys = append(keys, graph.PackEdge(graph.NodeID(remap[vf]-1), graph.NodeID(remap[vtto]-1)))
+					if rd.home(vf).G.HasEdge(vf, vtto) && (!multi || seen.Add(vt)) {
+						arrive = append(arrive, graph.NodeID(remap[vt]-1))
 					}
 				}
 			}
 			return true
 		})
+		endRun()
+		checkEnd[ci+1] = int32(len(arrive))
 		if err := ctxErr(); err != nil {
+			scratch.arrive = arrive
 			release()
 			return nil, nil, err
 		}
 	}
-	keys = scratch.sortEdgeKeys(keys, distinct)
-	scratch.keys = keys
-	bg.G, bg.Fz = graph.FromSortedEdges(rd.shards[0].G.Interner(), labels, values, keys)
-	stats.GQEdges = len(keys)
+	scratch.arrive = arrive
+	if gq {
+		bg.G, bg.Fz = scratch.buildGQ(&rd, p, off, checkEnd, bg.Cands, bg.ToOrig)
+		stats.GQEdges = bg.G.NumEdges()
+	} else {
+		// The space's runs: each check's runs as they arrived, and their
+		// transpose (see fillSpace). The array is never empty, so the
+		// allocation count does not depend on whether GQ has edges.
+		sp := &match.Space{N: distinct, Cands: bg.Cands, Edges: make([][2]pattern.Node, nc), Off: off}
+		for ci, ec := range p.EdgeChecks {
+			sp.Edges[ci] = [2]pattern.Node{ec.From, ec.To}
+		}
+		sp.Adj = make([]graph.NodeID, 2*len(arrive), 2*len(arrive)+1)
+		scratch.fillSpace(p, sp, checkEnd)
+		bg.Space = sp
+		stats.GQEdges = len(arrive) - scratch.sharedEdges(p, sp)
+	}
 	release()
 	return bg, stats, nil
+}
+
+// zeroedOff returns the scratch's offsets array cut to n entries, all
+// zero.
+func (s *ExecScratch) zeroedOff(n int) []int32 {
+	if cap(s.off) < n {
+		s.off = make([]int32, n)
+	}
+	off := s.off[:n]
+	clear(off)
+	return off
+}
+
+// spaceRows returns the offset in Space.Off of check ci's rows over n
+// nodes: those of ec.Other()'s candidates when back is false (its runs as
+// the check verifies them), those of ec.Target's when back is true.
+func spaceRows(ci int, ec EdgeCheck, back bool, n int) int {
+	d := 2 * ci // the out-rows: ec.From's candidates
+	if (ec.Target == ec.From) != back {
+		d++
+	}
+	return d * (n + 1)
+}
+
+// otherFirst returns deps reordered so that the one at position oi comes
+// first, and a buffer for the probe key. When there are several deps, the
+// key is rebuilt in deps' order from each enumerated tuple through
+// s.perm (key[s.perm[i]] = tuple[i]); a single dep is its own key.
+func (s *ExecScratch) otherFirst(deps []pattern.Node, oi int) ([]pattern.Node, []graph.NodeID) {
+	if len(deps) == 1 {
+		return deps, nil
+	}
+	s.order = append(s.order[:0], deps[oi])
+	s.perm = append(s.perm[:0], oi)
+	for i, d := range deps {
+		if i != oi {
+			s.order = append(s.order, d)
+			s.perm = append(s.perm, i)
+		}
+	}
+	if cap(s.key) < len(deps) {
+		s.key = make([]graph.NodeID, len(deps))
+	}
+	return s.order, s.key[:len(deps)]
+}
+
+// fillSpace lays each check's runs out as the two CSRs of its slot, with
+// counting passes and no sort. On entry sp.Off holds, at the rows of each
+// check's fixed endpoint, each run's length, and s.arrive the runs in the
+// order of that endpoint's candidates (the verification loop's order). On
+// return both row sets hold absolute offsets into sp.Adj — per check, the
+// verified direction's runs and then their transpose. The transpose is
+// filled walking the fixed endpoint's candidates in order, and the
+// verified direction is then refilled from it walking the target's
+// candidates in order, so every run lists its nodes in the order of their
+// pattern node's candidates: the space does not depend on how a cut split
+// the index entries it was verified from.
+func (s *ExecScratch) fillSpace(p *Plan, sp *match.Space, checkEnd []int32) {
+	nn := sp.N
+	if cap(s.cursor) < nn {
+		s.cursor = make([]int32, nn)
+	}
+	cursor := s.cursor[:nn]
+	for ci, ec := range p.EdgeChecks {
+		fwd := sp.Off[spaceRows(ci, ec, false, nn):][:nn+1]
+		back := sp.Off[spaceRows(ci, ec, true, nn):][:nn+1]
+		runs := s.arrive[checkEnd[ci]:checkEnd[ci+1]]
+		for _, w := range runs {
+			back[w+1]++
+		}
+		fwd[0] = 2 * checkEnd[ci]
+		back[0] = fwd[0] + int32(len(runs))
+		for v := 0; v < nn; v++ {
+			fwd[v+1] += fwd[v]
+			back[v+1] += back[v]
+		}
+		copy(cursor, back[:nn])
+		for _, a := range sp.Cands[ec.Other()] {
+			run := runs[:fwd[a+1]-fwd[a]]
+			runs = runs[len(run):]
+			for _, w := range run {
+				sp.Adj[cursor[w]] = a
+				cursor[w]++
+			}
+		}
+		copy(cursor, fwd[:nn])
+		for _, w := range sp.Cands[ec.Target] {
+			for _, a := range sp.Adj[back[w]:back[w+1]] {
+				sp.Adj[cursor[a]] = w
+				cursor[a]++
+			}
+		}
+	}
+}
+
+// sharedEdges counts the data edges that more than one check verified,
+// once per extra check: GQ holds each edge once. Every candidate of a
+// pattern node carries its label, so two checks can verify the same data
+// edge only when their edges join the same pair of labels, in the same
+// direction (a check dedups its own runs). For each group of such checks
+// the members' out-runs are walked node by node; a stamp per target marks
+// the edges the node already has.
+func (s *ExecScratch) sharedEdges(p *Plan, sp *match.Space) int {
+	q, nn := p.Q, sp.N
+	pair := func(ec EdgeCheck) [2]graph.Label { return [2]graph.Label{q.LabelOf(ec.From), q.LabelOf(ec.To)} }
+	shared := 0
+	var buf [8][]int32
+	for ci, ec := range p.EdgeChecks {
+		if slices.ContainsFunc(p.EdgeChecks[:ci], func(ek EdgeCheck) bool { return pair(ek) == pair(ec) }) {
+			continue // counted with the group's first check
+		}
+		group := buf[:0] // the members' out-row offsets
+		for cj := ci; cj < len(p.EdgeChecks); cj++ {
+			if pair(p.EdgeChecks[cj]) == pair(ec) {
+				group = append(group, sp.Off[2*cj*(nn+1):][:nn+1])
+			}
+		}
+		if len(group) < 2 {
+			continue
+		}
+		stamp := s.cursor[:nn]
+		clear(stamp)
+		for v := int32(1); v <= int32(nn); v++ {
+			for _, off := range group {
+				for _, w := range sp.Adj[off[v-1]:off[v]] {
+					if stamp[w] == v {
+						shared++
+					}
+					stamp[w] = v
+				}
+			}
+		}
+	}
+	return shared
+}
+
+// buildGQ materializes GQ from the runs the verification loop recorded,
+// as fillSpace receives them (off holding each run's length at its row):
+// node i is the source node toOrig[i] with its label and value, and its
+// edges are every run's pairs, packed, sorted and deduplicated (a data
+// edge two checks verified appears in both their runs).
+func (s *ExecScratch) buildGQ(rd *reader, p *Plan, off, checkEnd []int32, cands [][]graph.NodeID, toOrig []graph.NodeID) (*graph.Graph, *graph.Frozen) {
+	n := len(toOrig)
+	labels := make([]graph.Label, len(toOrig))
+	values := make([]graph.Value, len(toOrig))
+	for i, v := range toOrig {
+		labels[i], values[i] = rd.labelOf(v), rd.valueOf(v)
+	}
+	keys := s.keys[:0]
+	for ci, ec := range p.EdgeChecks {
+		counts := off[spaceRows(ci, ec, false, n):][:n+1]
+		runs := s.arrive[checkEnd[ci]:checkEnd[ci+1]]
+		for _, a := range cands[ec.Other()] {
+			run := runs[:counts[a+1]]
+			runs = runs[len(run):]
+			for _, w := range run {
+				if ec.Target == ec.To {
+					keys = append(keys, graph.PackEdge(a, w))
+				} else {
+					keys = append(keys, graph.PackEdge(w, a))
+				}
+			}
+		}
+	}
+	keys = s.sortEdgeKeys(keys, n)
+	s.keys = keys
+	return graph.FromSortedEdges(rd.shards[0].G.Interner(), labels, values, keys)
 }
 
 // reader is ExecWith's access to the data: a cut of one or more shards,
@@ -532,7 +806,6 @@ func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (
 // of the index set. An unsharded input is a 1-shard cut, so one type reads
 // both.
 type reader struct {
-	q       *pattern.Pattern
 	shards  []ShardView
 	shardOf func(graph.NodeID) int // unused on a 1-shard cut
 }
@@ -556,10 +829,6 @@ func (rd *reader) probe(ci int, tuple []graph.NodeID, dst [][]graph.NodeID) [][]
 		}
 	}
 	return dst
-}
-
-func (rd *reader) matches(u pattern.Node, v graph.NodeID) bool {
-	return rd.q.MatchesNode(u, rd.home(v).G, v)
 }
 
 func (rd *reader) labelOf(v graph.NodeID) graph.Label { return rd.home(v).G.LabelOf(v) }

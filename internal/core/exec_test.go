@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -497,6 +498,24 @@ func TestAppendCommon(t *testing.T) {
 		}
 		if got := appendCommon(nil, a, b); !reflect.DeepEqual(got, want) {
 			t.Fatalf("appendCommon(%v, %v) = %v, want %v", a, b, got, want)
+		}
+	}
+}
+
+// TestRadixSort: radixSort orders any IDs below its bound exactly as
+// slices.Sort does, duplicates included, with a reused staging buffer.
+func TestRadixSort(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	var tmp []graph.NodeID
+	for trial := 0; trial < 200; trial++ {
+		top := graph.NodeID(r.Int63n(1 << uint(1+r.Intn(40))))
+		ids := make([]graph.NodeID, r.Intn(3000))
+		for i := range ids {
+			ids[i] = graph.NodeID(r.Int63n(int64(top) + 1))
+		}
+		want := slices.Sorted(slices.Values(ids))
+		if tmp = radixSort(ids, tmp, top); !slices.Equal(ids, want) {
+			t.Fatalf("trial %d: radixSort differs from slices.Sort", trial)
 		}
 	}
 }

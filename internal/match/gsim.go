@@ -58,26 +58,16 @@ func (r *SimResult) Has(u pattern.Node, v graph.NodeID) bool {
 // paper's gsim baseline uses. Like that baseline, and like the bounded
 // evaluation it is compared against, it runs serially.
 func GSim(q *pattern.Pattern, g *graph.Graph) *SimResult {
-	return gsim(q, g, nil)
+	return gsim(q, adjacency{g: g}, nil)
 }
 
-// gsim runs simulation with optional initial candidate sets (used by
-// OptGSim and by bounded evaluation); initCands[u] == nil means "all
-// label-compatible nodes of g".
-func gsim(q *pattern.Pattern, g *graph.Graph, initCands [][]graph.NodeID) *SimResult {
+// gsim runs simulation over a with optional initial candidate sets (used
+// by OptGSim and by bounded evaluation on GQ); initCands[u] == nil means
+// the space's candidates of u, or all label-compatible nodes of a graph.
+func gsim(q *pattern.Pattern, a adjacency, initCands [][]graph.NodeID) *SimResult {
 	n := q.NumNodes()
 	res := &SimResult{Sim: make([][]graph.NodeID, n)}
-	idCap := g.Cap()
-
-	// Initial candidate sources per pattern node.
-	sources := make([][]graph.NodeID, n)
-	for ui := 0; ui < n; ui++ {
-		if initCands != nil && initCands[ui] != nil {
-			sources[ui] = initCands[ui]
-		} else {
-			sources[ui] = g.NodesByLabel(q.LabelOf(pattern.Node(ui)))
-		}
-	}
+	idCap := a.cap()
 
 	// Phase 1: filter sources by node compatibility. sim[u] as dense set
 	// for O(1) membership; simList[u] keeps the (deduplicated) source
@@ -87,8 +77,8 @@ func gsim(q *pattern.Pattern, g *graph.Graph, initCands [][]graph.NodeID) *SimRe
 	for ui := 0; ui < n; ui++ {
 		set := graph.NewDenseSet(idCap)
 		var list []graph.NodeID
-		for _, v := range sources[ui] {
-			if q.MatchesNode(pattern.Node(ui), g, v) && set.Add(v) {
+		for _, v := range a.sources(q, pattern.Node(ui), initCands) {
+			if a.node(q, pattern.Node(ui), v) && set.Add(v) {
 				list = append(list, v)
 				res.Steps++
 			}
@@ -97,10 +87,10 @@ func gsim(q *pattern.Pattern, g *graph.Graph, initCands [][]graph.NodeID) *SimRe
 		simList[ui] = list
 	}
 
-	type edgeT struct{ u, uc int } // pattern edge (u, uc)
+	type edgeT struct{ u, uc, slot int } // pattern edge (u, uc)
 	var edges []edgeT
 	q.Edges(func(from, to pattern.Node) bool {
-		edges = append(edges, edgeT{int(from), int(to)})
+		edges = append(edges, edgeT{int(from), int(to), a.slot(from, to)})
 		return true
 	})
 
@@ -112,9 +102,9 @@ func gsim(q *pattern.Pattern, g *graph.Graph, initCands [][]graph.NodeID) *SimRe
 
 	// cnt[ei] tracks |out(v) ∩ sim(edges[ei].uc)| for v in
 	// sim(edges[ei].u) — dense when the candidates are a fair share of
-	// the ID space (full-graph GSim, bounded evaluation on GQ), sparse
-	// when a few candidates sit in a huge graph (OptGSim), where an
-	// O(|V|) row per pattern edge would dwarf the actual work.
+	// the ID space (full-graph GSim, bounded evaluation), sparse when a
+	// few candidates sit in a huge graph (OptGSim), where an O(|V|) row
+	// per pattern edge would dwarf the actual work.
 	cnt := make([]cntRow, len(edges))
 	for ei, e := range edges {
 		cnt[ei] = newCntRow(idCap, len(simList[e.u]))
@@ -124,14 +114,19 @@ func gsim(q *pattern.Pattern, g *graph.Graph, initCands [][]graph.NodeID) *SimRe
 	// before enforcing anything: interleaving initialization with removals
 	// would double-subtract (a removal already excluded from a
 	// later-initialized counter would be decremented again during
-	// propagation).
+	// propagation). A space's run holds only candidates of uc, all still
+	// in sim(uc) here, so its length is the count.
 	for ei, e := range edges {
 		row, ucSet := &cnt[ei], sim[e.uc]
 		for _, v := range simList[e.u] {
-			c := int32(0)
-			for _, w := range g.Out(v) {
-				if ucSet.Has(w) {
-					c++
+			out := a.out(e.slot, v)
+			c := int32(len(out))
+			if a.sp == nil {
+				c = 0
+				for _, w := range out {
+					if ucSet.Has(w) {
+						c++
+					}
 				}
 			}
 			row.set(v, c)
@@ -171,7 +166,7 @@ func gsim(q *pattern.Pattern, g *graph.Graph, initCands [][]graph.NodeID) *SimRe
 		for _, ei := range inEdges[r.u] {
 			e := edges[ei]
 			row := &cnt[ei]
-			for _, v := range g.In(r.v) {
+			for _, v := range a.in(e.slot, r.v) {
 				if !sim[e.u].Has(v) {
 					continue
 				}

@@ -20,7 +20,7 @@ func OptVF2(q *pattern.Pattern, g *graph.Graph, idx *access.IndexSet, opt Subgra
 // index-restricted initial candidate sets; the fixpoint still refines over
 // G-sized sets for uncovered nodes.
 func OptGSim(q *pattern.Pattern, g *graph.Graph, idx *access.IndexSet) *SimResult {
-	return gsim(q, g, type1Candidates(q, idx))
+	return gsim(q, adjacency{g: g}, type1Candidates(q, idx))
 }
 
 // type1Candidates returns initial candidate sets drawn from type-1

@@ -47,36 +47,6 @@ func VF2(q *pattern.Pattern, g *graph.Graph, opt SubgraphOptions) *SubgraphResul
 	return vf2(q, g, nil, opt)
 }
 
-// adjacency routes the matchers' edge reads either to a live Graph or to
-// a frozen CSR snapshot of it (sorted adjacency, binary-search HasEdge).
-// The snapshot changes neighbor iteration order — and therefore match
-// enumeration order — but never the result set.
-type adjacency struct {
-	g  *graph.Graph
-	fz *graph.Frozen
-}
-
-func (a adjacency) Out(v graph.NodeID) []graph.NodeID {
-	if a.fz != nil {
-		return a.fz.Out(v)
-	}
-	return a.g.Out(v)
-}
-
-func (a adjacency) In(v graph.NodeID) []graph.NodeID {
-	if a.fz != nil {
-		return a.fz.In(v)
-	}
-	return a.g.In(v)
-}
-
-func (a adjacency) HasEdge(from, to graph.NodeID) bool {
-	if a.fz != nil {
-		return a.fz.HasEdge(from, to)
-	}
-	return a.g.HasEdge(from, to)
-}
-
 // vf2 runs the backtracking search with optional pre-restricted candidate
 // sets (cands[u] == nil means unrestricted; used by OptVF2 and bounded
 // evaluation).
@@ -85,30 +55,21 @@ func vf2(q *pattern.Pattern, g *graph.Graph, cands [][]graph.NodeID, opt Subgrap
 }
 
 func vf2On(q *pattern.Pattern, a adjacency, cands [][]graph.NodeID, opt SubgraphOptions) *SubgraphResult {
-	g := a.g
 	n := q.NumNodes()
 	res := &SubgraphResult{Completed: true}
 	if n == 0 {
 		return res
 	}
+	outSlots, inSlots := a.slots(q)
 
 	// Candidate universe per pattern node (label + predicate filtered).
 	universe := make([][]graph.NodeID, n)
 	for ui := 0; ui < n; ui++ {
 		u := pattern.Node(ui)
-		src := g.NodesByLabel(q.LabelOf(u))
-		if cands != nil && cands[ui] != nil {
-			src = cands[ui]
-		}
-		outDeg, inDeg := len(q.Out(u)), len(q.In(u))
-		for _, v := range src {
-			if !q.MatchesNode(u, g, v) {
-				continue
+		for _, v := range a.sources(q, u, cands) {
+			if a.admits(q, u, v, outSlots[ui], inSlots[ui]) {
+				universe[ui] = append(universe[ui], v)
 			}
-			if len(a.Out(v)) < outDeg || len(a.In(v)) < inDeg {
-				continue
-			}
-			universe[ui] = append(universe[ui], v)
 		}
 		if len(universe[ui]) == 0 {
 			return res // some pattern node cannot match at all
@@ -121,18 +82,18 @@ func vf2On(q *pattern.Pattern, a adjacency, cands [][]graph.NodeID, opt Subgraph
 	for i := range mapped {
 		mapped[i] = graph.InvalidNode
 	}
-	used := graph.NewDenseSet(g.Cap())
+	used := graph.NewDenseSet(a.cap())
 
 	// feasible checks edge consistency of v (candidate for u) against all
 	// already-mapped neighbors of u.
 	feasible := func(u pattern.Node, v graph.NodeID) bool {
-		for _, uc := range q.Out(u) {
-			if w := mapped[uc]; w != graph.InvalidNode && !a.HasEdge(v, w) {
+		for i, uc := range q.Out(u) {
+			if w := mapped[uc]; w != graph.InvalidNode && !a.hasEdge(outSlots[u][i], v, w) {
 				return false
 			}
 		}
-		for _, up := range q.In(u) {
-			if w := mapped[up]; w != graph.InvalidNode && !a.HasEdge(w, v) {
+		for i, up := range q.In(u) {
+			if w := mapped[up]; w != graph.InvalidNode && !a.hasEdge(inSlots[u][i], w, v) {
 				return false
 			}
 		}
@@ -162,16 +123,15 @@ func vf2On(q *pattern.Pattern, a adjacency, cands [][]graph.NodeID, opt Subgraph
 		// Restrict candidates via an already-mapped neighbor when one
 		// exists: candidates must be adjacent (right direction) to its
 		// image, typically a much smaller set than the universe.
-		var pool []graph.NodeID
-		if uc, fromMapped := mappedNeighbor(q, mapped, u); uc != -1 {
-			w := mapped[uc]
-			if fromMapped {
-				pool = a.Out(w) // edge (uc, u): candidates among Out(w)
+		if i, parent := mappedNeighbor(q, mapped, u); i >= 0 {
+			var pool []graph.NodeID
+			if parent {
+				pool = a.out(inSlots[u][i], mapped[q.In(u)[i]]) // edge (up, u)
 			} else {
-				pool = a.In(w) // edge (u, uc): candidates among In(w)
+				pool = a.in(outSlots[u][i], mapped[q.Out(u)[i]]) // edge (u, uc)
 			}
 			for _, v := range pool {
-				if !q.MatchesNode(u, g, v) {
+				if !a.node(q, u, v) {
 					continue
 				}
 				if used.Has(v) {
@@ -213,18 +173,19 @@ func vf2On(q *pattern.Pattern, a adjacency, cands [][]graph.NodeID, opt Subgraph
 	return res
 }
 
-// mappedNeighbor returns a neighbor of u already mapped, preferring
-// parents (edge into u, so candidates come from Out of the image). The
-// boolean reports whether the edge runs from the mapped neighbor to u.
-func mappedNeighbor(q *pattern.Pattern, mapped []graph.NodeID, u pattern.Node) (pattern.Node, bool) {
-	for _, up := range q.In(u) {
+// mappedNeighbor finds a neighbor of u already mapped, preferring parents
+// (edge into u, so candidates come from the image's out-run). It returns
+// the neighbor's position in q.In(u) when parent is true, in q.Out(u)
+// otherwise, and -1 when no neighbor is mapped.
+func mappedNeighbor(q *pattern.Pattern, mapped []graph.NodeID, u pattern.Node) (i int, parent bool) {
+	for i, up := range q.In(u) {
 		if mapped[up] != graph.InvalidNode {
-			return up, true
+			return i, true
 		}
 	}
-	for _, uc := range q.Out(u) {
+	for i, uc := range q.Out(u) {
 		if mapped[uc] != graph.InvalidNode {
-			return uc, false
+			return i, false
 		}
 	}
 	return -1, false

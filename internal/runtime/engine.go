@@ -67,8 +67,9 @@ type Query struct {
 	NeedFootprint bool
 }
 
-// Result is the outcome of one query: the fetched bounded subgraph with
-// its access statistics, and the match relation (in the source graph's
+// Result is the outcome of one query: what the plan fetched (a
+// BoundedGraph from core.Plan.Fetch: candidates and candidate space, no
+// materialized GQ) with its access statistics, and the match relation (in the source graph's
 // node IDs) under the requested semantics. Stats may be non-nil even when
 // Err is a cancellation error raised after the fetch phase completed —
 // it accounts for the data actually accessed. Epoch is the source version
@@ -324,9 +325,9 @@ func (e *Engine) Stats() Stats {
 }
 
 // eval runs one query end to end against the pinned cut already loaded
-// into cfg.Shards: plan (unless the caller brought one), fetch GQ through
-// the indices, then match inside GQ and map the relation back to the
-// source graph's IDs.
+// into cfg.Shards: plan (unless the caller brought one), fetch GQ's
+// candidate space through the indices (GQ itself is never built), then
+// match on the space and map the relation back to the source graph's IDs.
 func (e *Engine) eval(q Query, cfg *core.ExecConfig, epoch uint64, vector []uint64) Result {
 	if q.Pattern == nil {
 		return Result{Err: ErrNilQuery, Epoch: epoch, Vector: vector}
@@ -338,7 +339,7 @@ func (e *Engine) eval(q Query, cfg *core.ExecConfig, epoch uint64, vector []uint
 			return Result{Err: err, Epoch: epoch, Vector: vector}
 		}
 	}
-	bg, stats, err := p.ExecWith(nil, nil, cfg)
+	bg, stats, err := p.Fetch(nil, nil, cfg)
 	if err != nil {
 		return Result{Err: err, Epoch: epoch, Vector: vector}
 	}
@@ -362,13 +363,11 @@ func (e *Engine) eval(q Query, cfg *core.ExecConfig, epoch uint64, vector []uint
 	}
 	switch q.Sem {
 	case core.Subgraph:
-		// VF2's feasibility checks probe edges constantly; GQ's frozen
-		// snapshot, built with it, turns them into binary searches.
-		sub := match.VF2WithCandidatesFrozen(p.Q, bg.G, bg.Fz, bg.Cands, q.Sub)
+		sub := match.VF2InSpace(p.Q, bg.Space, q.Sub)
 		bg.MapSubgraphResult(sub)
 		res.Sub = sub
 	case core.Simulation:
-		sim := match.GSimWithCandidates(p.Q, bg.G, bg.Cands)
+		sim := match.GSimInSpace(p.Q, bg.Space)
 		bg.MapSimResult(sim)
 		res.Sim = sim
 	}

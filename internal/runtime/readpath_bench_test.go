@@ -71,13 +71,21 @@ func completeBounded(q *pattern.Pattern, sem core.Semantics, g *graph.Graph, idx
 
 // readPathSource rebuilds the pool's graph and index set and serves them
 // from one store (shards 1) or from a router over that many shards, with
-// writePairs accepted add-edge/delete-edge pairs applied first. The pairs
-// leave the graph's edge set as it was, but every store behind the source
-// has refreshed its Frozen snapshot once per accepted write, so reads go
-// through a live patch chain.
+// writePairs accepted add-edge/delete-edge pairs applied first (see
+// datasetSource).
 func readPathSource(tb testing.TB, shards, writePairs int) runtime.Source {
 	tb.Helper()
-	ds := workload.IMDb(1, 1)
+	return datasetSource(tb, workload.IMDb(1, 1), shards, writePairs)
+}
+
+// datasetSource serves ds's graph and a fresh index set from one store
+// (shards 1) or from a router over that many shards, with writePairs
+// accepted add-edge/delete-edge pairs applied first. The pairs leave the
+// graph's edge set as it was, but every store behind the source has
+// refreshed its Frozen snapshot once per accepted write, so reads go
+// through a live patch chain. The source takes ds.G over.
+func datasetSource(tb testing.TB, ds *workload.Dataset, shards, writePairs int) runtime.Source {
+	tb.Helper()
 	idx, viols := access.Build(ds.G, ds.Schema)
 	if viols != nil {
 		tb.Fatalf("generated graph violates its schema: %v", viols[0])
