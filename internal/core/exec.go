@@ -492,6 +492,7 @@ func (p *Plan) exec(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig, gq bo
 	// adjacency: Out(vo) when vo is the edge's source, In(vo) when it is
 	// the target. Without one (a mutable row is unsorted) each candidate
 	// is checked on its own.
+	//
 	// off receives each run's length at its row (see spaceRows). Fetch
 	// hands it on as the space's offsets; ExecWith only reads it back,
 	// so it borrows it from the scratch.
