@@ -86,7 +86,7 @@ func radixSort(ids, tmp []graph.NodeID, top graph.NodeID) []graph.NodeID {
 		}
 		src, dst = dst, src
 	}
-	copy(ids, src) // a no-op when the passes were even
+	copy(ids, src) // src is ids itself after an even number of passes
 	return tmp
 }
 

@@ -69,12 +69,13 @@ type Query struct {
 
 // Result is the outcome of one query: what the plan fetched (a
 // BoundedGraph from core.Plan.Fetch: candidates and candidate space, no
-// materialized GQ) with its access statistics, and the match relation (in the source graph's
-// node IDs) under the requested semantics. Stats may be non-nil even when
-// Err is a cancellation error raised after the fetch phase completed —
-// it accounts for the data actually accessed. Epoch is the source version
-// the query was evaluated against (the one current when it was
-// admitted); it is set whenever the query was admitted, errors included.
+// materialized GQ) with its access statistics, and the match relation
+// (in the source graph's node IDs) under the requested semantics. Stats
+// may be non-nil even when Err is a cancellation error raised after the
+// fetch phase completed — it accounts for the data actually accessed.
+// Epoch is the source version the query was evaluated against (the one
+// current when it was admitted); it is set whenever the query was
+// admitted, errors included.
 type Result struct {
 	BG    *core.BoundedGraph
 	Stats *core.ExecStats
