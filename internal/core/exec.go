@@ -40,19 +40,14 @@ func (s *ExecStats) Accessed() int { return s.NodesAccessed + s.EdgesAccessed }
 
 // BoundedGraph is what a plan fetched: the per-pattern-node candidate sets
 // (in GQ's node IDs), the mapping back to the original graph's IDs, and
-// what the edge checks verified — as a candidate space from Fetch, as the
-// materialized subgraph GQ from ExecWith.
+// what the edge checks verified, as a candidate space. ExecWith also
+// materializes the space as the subgraph GQ.
 type BoundedGraph struct {
 	// G is the fetched subgraph GQ (fresh node IDs); nil from Fetch.
 	G *graph.Graph
-	// Fz is G's frozen snapshot, built in the same pass and sharing G's
-	// adjacency arrays; matchers take it instead of re-freezing G. Nil
-	// from Fetch.
-	Fz *graph.Frozen
 	// Space is the candidate space over GQ's node IDs: Cands, and for
 	// every pattern edge the verified runs between its endpoints'
-	// candidates. GQ's edges are exactly the union of its runs. Nil from
-	// ExecWith.
+	// candidates. GQ's edges are exactly the union of its runs.
 	Space *match.Space
 	// Cands[u] lists GQ nodes that are candidate matches for pattern node
 	// u (maximally reduced cmat(u)).
@@ -73,11 +68,11 @@ type ExecConfig struct {
 	Frozen *graph.Frozen
 	// Scratch, when non-nil, reuses per-execution buffers (dense sets
 	// and the GQ remap table) across queries. A scratch serves one
-	// execution at a time; without one, ExecWith borrows from a pool.
+	// execution at a time; without one, Fetch borrows from a pool.
 	Scratch *ExecScratch
 	// Ctx, when non-nil, is polled at every plan operation and every
 	// cancelStride enumerated tuples inside the fetch and
-	// edge-verification loops. Once it is cancelled, ExecWith abandons
+	// edge-verification loops. Once it is cancelled, Fetch abandons
 	// the evaluation, restores its scratch buffers, and returns the
 	// context's error — so a dropped connection or an expired deadline
 	// stops the work instead of letting it run to completion.
@@ -88,11 +83,12 @@ type ExecConfig struct {
 	// are exactly the global entry. Edge verification consumes the parts
 	// unmerged (the space's layout puts every run in candidate order
 	// afterwards); the fetch phase, whose candidate order numbers GQ,
-	// merges them into a reused scratch buffer. Label, value and edge-direction checks route to
-	// the node's owner shard — the answer is bit-identical to the
-	// unsharded run. The g and idx arguments of ExecWith and Frozen are
-	// ignored (g and idx may be nil); ShardOf must be set to the
-	// router's node→shard map unless the cut has a single shard.
+	// merges them into a reused scratch buffer. Value reads and
+	// edge-direction checks route to the node's owner shard — the answer
+	// is bit-identical to the unsharded run. The g and idx arguments of
+	// Fetch and ExecWith and Frozen are ignored (g and idx may be nil);
+	// ShardOf must be set to the router's node→shard map unless the cut
+	// has a single shard.
 	Shards  []ShardView
 	ShardOf func(graph.NodeID) int
 	// Footprint, when non-nil, records the execution's read set — the
@@ -115,11 +111,11 @@ type ShardView struct {
 
 // ExecScratch holds the reusable buffers of one plan execution: the
 // per-op dedup set, the per-pattern-node candidate lists and sets, the
-// dense |V|-sized table mapping source node IDs to GQ IDs, the candidate
-// space's staging buffers and the packed GQ edge keys. All are restored
-// to their empty state on every exit path of Fetch and ExecWith, so reuse
-// is O(touched) instead of O(|V|) per query, and a warm scratch makes the
-// space and the GQ build O(1) allocations whatever their size.
+// dense |V|-sized table mapping source node IDs to GQ IDs and the
+// candidate space's staging buffers. All are restored to their empty
+// state on every exit path of Fetch, so reuse is O(touched) instead of
+// O(|V|) per query, and a warm scratch makes the space's build O(1)
+// allocations whatever its size.
 type ExecScratch struct {
 	seen    *graph.DenseSet
 	csets   []*graph.DenseSet
@@ -132,19 +128,13 @@ type ExecScratch struct {
 	common  []graph.NodeID    // one probe part's intersection with a row
 	probe   probeBuf          // the probe buffers
 
-	// The candidate space's build (see exec and fillSpace).
+	// The candidate space's build (see Fetch and fillSpace).
 	arrive   []graph.NodeID // every check's runs, as verified
 	checkEnd []int32        // per check: the end of its runs in arrive
 	cursor   []int32        // per GQ node: a transpose's write position
 	order    []pattern.Node // an |S| >= 2 check's deps, fixed endpoint first
 	perm     []int          // order's positions in the check's deps
 	key      []graph.NodeID // the probe key rebuilt from a reordered tuple
-
-	// GQ's build in ExecWith (see buildGQ).
-	off     []int32  // the runs' lengths, at their rows
-	keys    []uint64 // GQ edges, PackEdge(from, to)
-	keyRows []uint64 // keys bucketed by source, for sortEdgeKeys
-	rowEnd  []int32  // per-source bucket bounds, for sortEdgeKeys
 }
 
 // NewExecScratch returns an empty scratch; buffers are grown on first use.
@@ -174,46 +164,6 @@ func (s *ExecScratch) getRemap(idCap int) []int32 {
 		s.remap = make([]int32, idCap)
 	}
 	return s.remap
-}
-
-// sortEdgeKeys sorts and deduplicates keys, packed edges over GQ nodes
-// 0..n-1, in place: the same array slices.Sort + slices.Compact would
-// give, at O(len(keys) + n) instead of O(len(keys) log len(keys)). A
-// counting sort on the source spreads the keys into per-source rows,
-// then each row — a handful of targets — is sorted and compacted back
-// into keys.
-func (s *ExecScratch) sortEdgeKeys(keys []uint64, n int) []uint64 {
-	if cap(s.rowEnd) < n+1 {
-		s.rowEnd = make([]int32, n+1)
-	}
-	if cap(s.keyRows) < len(keys) {
-		s.keyRows = make([]uint64, len(keys))
-	}
-	end, rows := s.rowEnd[:n+1], s.keyRows[:len(keys)]
-	clear(end)
-	for _, k := range keys {
-		end[k>>32+1]++
-	}
-	for v := 1; v <= n; v++ {
-		end[v] += end[v-1]
-	}
-	// end[v] is row v's start; placing advances it to the row's end.
-	for _, k := range keys {
-		rows[end[k>>32]] = k
-		end[k>>32]++
-	}
-	out, lo := keys[:0], int32(0)
-	for _, hi := range end[:n] {
-		row := rows[lo:hi]
-		slices.Sort(row)
-		for i, k := range row {
-			if i == 0 || k != row[i-1] {
-				out = append(out, k)
-			}
-		}
-		lo = hi
-	}
-	return out
 }
 
 // begin sizes the per-pattern-node tables for a pattern of n nodes; they
@@ -254,47 +204,44 @@ func (c *strideChecker) cancelled() bool {
 // (plus a direction check per edge candidate the indexes return: with a
 // frozen snapshot, one intersection of each probe part with the fixed
 // endpoint's sorted row), so the work is determined by Q and A,
-// independent of |G|. It is ExecWith with no configuration: it builds GQ
-// as a graph, which the serving path does not (see Fetch).
+// independent of |G|. It is ExecWith with no configuration.
 func (p *Plan) Exec(g *graph.Graph, idx *access.IndexSet) (*BoundedGraph, *ExecStats, error) {
 	return p.ExecWith(g, idx, nil)
 }
 
-// ExecWith is Exec with an execution configuration; see ExecConfig. It
-// runs Fetch's loop and then materializes GQ from the runs the loop
-// verified, instead of laying them out as a candidate space: the
-// returned BoundedGraph carries G and Fz, and a nil Space. It produces
-// exactly the same BoundedGraph and stats whatever the configuration,
-// over one graph or over a cut of any number of shards.
+// ExecWith is Fetch followed by GQ's materialization from the candidate
+// space (see materialize): the returned BoundedGraph carries G as well as
+// the space. It produces exactly the same BoundedGraph and stats whatever
+// the configuration, over one graph or over a cut of any number of
+// shards. The serving path does not build GQ; the matchers run on the
+// space.
 func (p *Plan) ExecWith(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (*BoundedGraph, *ExecStats, error) {
-	return p.exec(g, idx, cfg, true)
+	bg, stats, err := p.Fetch(g, idx, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	var one [1]ShardView
+	rd := readerOf(g, idx, cfg, &one)
+	bg.G = p.materialize(&rd, bg)
+	return bg, stats, nil
 }
 
-// Fetch is ExecWith without GQ: it fetches the candidates and verifies
-// the pattern edges through the indices, and returns them as a candidate
-// space (BoundedGraph.Space) with Cands and ToOrig set and G and Fz nil.
-// Its stats equal ExecWith's, GQEdges included. The matchers run on the
-// space directly (match.VF2InSpace, match.GSimInSpace), which is how the
-// runtime engine and EvalSubgraphWith / EvalSimWith evaluate.
+// Fetch fetches the candidates and verifies the pattern edges through the
+// indices, and returns them as a candidate space (BoundedGraph.Space)
+// with Cands and ToOrig set and G nil. Its stats count GQEdges without
+// building GQ. The matchers run on the space directly (match.VF2InSpace,
+// match.GSimInSpace), which is how the runtime engine and
+// EvalSubgraphWith / EvalSimWith evaluate.
 func (p *Plan) Fetch(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig) (*BoundedGraph, *ExecStats, error) {
-	return p.exec(g, idx, cfg, false)
-}
-
-// exec is Fetch, followed by GQ's materialization when gq is set.
-func (p *Plan) exec(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig, gq bool) (*BoundedGraph, *ExecStats, error) {
 	var scratch *ExecScratch
 	var ctx context.Context
 	var fp *Footprint
 	// All graph and index access below goes through rd, which reads every
 	// input as a cut: an unsharded call is a 1-shard cut held here.
-	one := [1]ShardView{{G: g, Idx: idx}}
-	rd := reader{shards: one[:]}
+	var one [1]ShardView
+	rd := readerOf(g, idx, cfg, &one)
 	if cfg != nil {
 		scratch, ctx, fp = cfg.Scratch, cfg.Ctx, cfg.Footprint
-		one[0].Fz = cfg.Frozen
-		if len(cfg.Shards) > 0 {
-			rd.shards, rd.shardOf = cfg.Shards, cfg.ShardOf
-		}
 	}
 	idCap := 0
 	for i := range rd.shards {
@@ -493,16 +440,10 @@ func (p *Plan) exec(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig, gq bo
 	// the target. Without one (a mutable row is unsorted) each candidate
 	// is checked on its own.
 	//
-	// off receives each run's length at its row (see spaceRows). Fetch
-	// hands it on as the space's offsets; ExecWith only reads it back,
-	// so it borrows it from the scratch.
+	// off receives each run's length at its row (see spaceRows); it
+	// becomes the space's offsets.
 	nc := len(p.EdgeChecks)
-	var off []int32
-	if gq {
-		off = scratch.zeroedOff(2 * nc * (distinct + 1))
-	} else {
-		off = make([]int32, 2*nc*(distinct+1))
-	}
+	off := make([]int32, 2*nc*(distinct+1))
 	arrive := scratch.arrive[:0]
 	if cap(scratch.checkEnd) < nc+1 {
 		scratch.checkEnd = make([]int32, nc+1)
@@ -615,35 +556,19 @@ func (p *Plan) exec(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig, gq bo
 		}
 	}
 	scratch.arrive = arrive
-	if gq {
-		bg.G, bg.Fz = scratch.buildGQ(&rd, p, off, checkEnd, bg.Cands, bg.ToOrig)
-		stats.GQEdges = bg.G.NumEdges()
-	} else {
-		// The space's runs: each check's runs as they arrived, and their
-		// transpose (see fillSpace). The array is never empty, so the
-		// allocation count does not depend on whether GQ has edges.
-		sp := &match.Space{N: distinct, Cands: bg.Cands, Edges: make([][2]pattern.Node, nc), Off: off}
-		for ci, ec := range p.EdgeChecks {
-			sp.Edges[ci] = [2]pattern.Node{ec.From, ec.To}
-		}
-		sp.Adj = make([]graph.NodeID, 2*len(arrive), 2*len(arrive)+1)
-		scratch.fillSpace(p, sp, checkEnd)
-		bg.Space = sp
-		stats.GQEdges = len(arrive) - scratch.sharedEdges(p, sp)
+	// The space's runs: each check's runs as they arrived, and their
+	// transpose (see fillSpace). The array is never empty, so the
+	// allocation count does not depend on whether GQ has edges.
+	sp := &match.Space{N: distinct, Cands: bg.Cands, Edges: make([][2]pattern.Node, nc), Off: off}
+	for ci, ec := range p.EdgeChecks {
+		sp.Edges[ci] = [2]pattern.Node{ec.From, ec.To}
 	}
+	sp.Adj = make([]graph.NodeID, 2*len(arrive), 2*len(arrive)+1)
+	scratch.fillSpace(p, sp, checkEnd)
+	bg.Space = sp
+	stats.GQEdges = len(arrive) - scratch.sharedEdges(p, sp)
 	release()
 	return bg, stats, nil
-}
-
-// zeroedOff returns the scratch's offsets array cut to n entries, all
-// zero.
-func (s *ExecScratch) zeroedOff(n int) []int32 {
-	if cap(s.off) < n {
-		s.off = make([]int32, n)
-	}
-	off := s.off[:n]
-	clear(off)
-	return off
 }
 
 // spaceRows returns the offset in Space.Off of check ci's rows over n
@@ -769,46 +694,62 @@ func (s *ExecScratch) sharedEdges(p *Plan, sp *match.Space) int {
 	return shared
 }
 
-// buildGQ materializes GQ from the runs the verification loop recorded,
-// as fillSpace receives them (off holding each run's length at its row):
-// node i is the source node toOrig[i] with its label and value, and its
-// edges are every run's pairs, packed, sorted and deduplicated (a data
-// edge two checks verified appears in both their runs).
-func (s *ExecScratch) buildGQ(rd *reader, p *Plan, off, checkEnd []int32, cands [][]graph.NodeID, toOrig []graph.NodeID) (*graph.Graph, *graph.Frozen) {
-	n := len(toOrig)
-	labels := make([]graph.Label, len(toOrig))
-	values := make([]graph.Value, len(toOrig))
-	for i, v := range toOrig {
-		labels[i], values[i] = rd.labelOf(v), rd.valueOf(v)
-	}
-	keys := s.keys[:0]
-	for ci, ec := range p.EdgeChecks {
-		counts := off[spaceRows(ci, ec, false, n):][:n+1]
-		runs := s.arrive[checkEnd[ci]:checkEnd[ci+1]]
-		for _, a := range cands[ec.Other()] {
-			run := runs[:counts[a+1]]
-			runs = runs[len(run):]
-			for _, w := range run {
-				if ec.Target == ec.To {
-					keys = append(keys, graph.PackEdge(a, w))
-				} else {
-					keys = append(keys, graph.PackEdge(w, a))
-				}
-			}
+// materialize builds GQ from bg's candidate space: node i is the source
+// node bg.ToOrig[i], labeled with the label of the pattern nodes it is a
+// candidate of (every candidate carries its pattern node's label) and
+// valued from its owner shard, and its out-row is the sorted,
+// deduplicated union of its out-runs over every slot (a data edge that
+// two checks verified lies in both their runs).
+func (p *Plan) materialize(rd *reader, bg *BoundedGraph) *graph.Graph {
+	sp := bg.Space
+	labels := make([]graph.Label, sp.N)
+	for u, cands := range sp.Cands {
+		l := p.Q.LabelOf(pattern.Node(u))
+		for _, v := range cands {
+			labels[v] = l
 		}
 	}
-	keys = s.sortEdgeKeys(keys, n)
-	s.keys = keys
+	values := make([]graph.Value, sp.N)
+	for i, v := range bg.ToOrig {
+		values[i] = rd.valueOf(v)
+	}
+	// Never empty, so the allocation count does not depend on whether GQ
+	// has edges.
+	keys := make([]uint64, 0, len(sp.Adj)/2+1)
+	for v := range graph.NodeID(sp.N) {
+		lo := len(keys)
+		for e := range sp.Edges {
+			for _, w := range sp.Run(e, 0, v) {
+				keys = append(keys, graph.PackEdge(v, w))
+			}
+		}
+		slices.Sort(keys[lo:])
+		keys = keys[:lo+len(slices.Compact(keys[lo:]))]
+	}
 	return graph.FromSortedEdges(rd.shards[0].G.Interner(), labels, values, keys)
 }
 
-// reader is ExecWith's access to the data: a cut of one or more shards,
-// each holding a graph, an optional frozen snapshot and its row partition
-// of the index set. An unsharded input is a 1-shard cut, so one type reads
+// reader is Fetch's access to the data: a cut of one or more shards, each
+// holding a graph, an optional frozen snapshot and its row partition of
+// the index set. An unsharded input is a 1-shard cut, so one type reads
 // both.
 type reader struct {
 	shards  []ShardView
 	shardOf func(graph.NodeID) int // unused on a 1-shard cut
+}
+
+// readerOf returns the cut a call reads: cfg's shards when it has any,
+// else g, idx and cfg's Frozen as a 1-shard cut held in one.
+func readerOf(g *graph.Graph, idx *access.IndexSet, cfg *ExecConfig, one *[1]ShardView) reader {
+	one[0] = ShardView{G: g, Idx: idx}
+	if cfg == nil {
+		return reader{shards: one[:]}
+	}
+	if len(cfg.Shards) > 0 {
+		return reader{shards: cfg.Shards, shardOf: cfg.ShardOf}
+	}
+	one[0].Fz = cfg.Frozen
+	return reader{shards: one[:]}
 }
 
 // home returns the shard owning v, which holds v's label, value and full
@@ -831,8 +772,6 @@ func (rd *reader) probe(ci int, tuple []graph.NodeID, dst [][]graph.NodeID) [][]
 	}
 	return dst
 }
-
-func (rd *reader) labelOf(v graph.NodeID) graph.Label { return rd.home(v).G.LabelOf(v) }
 
 func (rd *reader) valueOf(v graph.NodeID) graph.Value { return rd.home(v).G.ValueOf(v) }
 

@@ -46,7 +46,8 @@ func (ec EdgeCheck) Other() pattern.Node {
 }
 
 // Plan is an effectively bounded, worst-case-optimal query plan for Q
-// under A (Theorems 4 and 9). Execute it with Exec.
+// under A (Theorems 4 and 9). Execute it with Fetch, or with Exec to
+// materialize GQ.
 type Plan struct {
 	Sem Semantics
 	Q   *pattern.Pattern

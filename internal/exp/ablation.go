@@ -33,6 +33,7 @@ func Ablation(opt Options) (*Table, error) {
 		if viols != nil {
 			return nil, fmt.Errorf("exp: %v", viols[0])
 		}
+		cfg := &core.ExecConfig{Frozen: d.G.Freeze()}
 		qs := workload.DefaultQueryGen.Generate(d, opt.NumQueries, opt.Seed+7)
 		var nQ int
 		var estOpt, estNaive, accOpt, accNaive, timeOpt, timeNaive float64
@@ -51,8 +52,8 @@ func Ablation(opt Options) (*Table, error) {
 			estNaive += pn.EstGQNodes()
 			var so, sn *core.ExecStats
 			var errO, errN error
-			timeOpt += timed(func() { _, so, errO = po.EvalSubgraph(d.G, idx, mopt) })
-			timeNaive += timed(func() { _, sn, errN = pn.EvalSubgraph(d.G, idx, mopt) })
+			timeOpt += timed(func() { _, so, errO = po.EvalSubgraphWith(d.G, idx, mopt, cfg) })
+			timeNaive += timed(func() { _, sn, errN = pn.EvalSubgraphWith(d.G, idx, mopt, cfg) })
 			if errO != nil || errN != nil {
 				return nil, fmt.Errorf("exp: ablation eval: %v / %v", errO, errN)
 			}

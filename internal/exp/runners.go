@@ -169,9 +169,10 @@ func (a *algoTimes) avg(name string) string {
 }
 
 // runAll evaluates the six algorithms of Fig 5 on the given graph: the
-// bounded plans (bVF2/bSim, pre-planned), then the conventional baselines
-// with the step budget.
-func runAll(at *algoTimes, g *workload.Dataset, idx *access.IndexSet,
+// bounded plans (bVF2/bSim, pre-planned) under cfg, which carries the
+// graph's frozen snapshot as the serving path's does, then the
+// conventional baselines with the step budget.
+func runAll(at *algoTimes, g *workload.Dataset, idx *access.IndexSet, cfg *core.ExecConfig,
 	subPlans, simPlans []*core.Plan, subQs, simQs []*pattern.Pattern, opt Options) error {
 
 	mopt := match.SubgraphOptions{MaxMatches: opt.MatchLimit}
@@ -179,7 +180,7 @@ func runAll(at *algoTimes, g *workload.Dataset, idx *access.IndexSet,
 
 	for _, p := range subPlans {
 		var err error
-		secs := timed(func() { _, _, err = p.EvalSubgraph(g.G, idx, mopt) })
+		secs := timed(func() { _, _, err = p.EvalSubgraphWith(g.G, idx, mopt, cfg) })
 		if err != nil {
 			return err
 		}
@@ -187,7 +188,7 @@ func runAll(at *algoTimes, g *workload.Dataset, idx *access.IndexSet,
 	}
 	for _, p := range simPlans {
 		var err error
-		secs := timed(func() { _, _, err = p.EvalSim(g.G, idx) })
+		secs := timed(func() { _, _, err = p.EvalSimWith(g.G, idx, cfg) })
 		if err != nil {
 			return err
 		}
@@ -260,7 +261,8 @@ func Fig5VaryG(opt Options) (*Table, error) {
 			return nil, fmt.Errorf("exp: scale %v violates schema: %v", scale, viols[0])
 		}
 		at := newAlgoTimes()
-		if err := runAll(at, g, idx, subPlans, simPlans, subQs, simQs, opt); err != nil {
+		cfg := &core.ExecConfig{Frozen: g.G.Freeze()}
+		if err := runAll(at, g, idx, cfg, subPlans, simPlans, subQs, simQs, opt); err != nil {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%.2f", scale), fmt.Sprint(g.G.Size()),
@@ -281,6 +283,7 @@ func Fig5VaryQ(opt Options) (*Table, error) {
 	if viols != nil {
 		return nil, fmt.Errorf("exp: %v", viols[0])
 	}
+	cfg := &core.ExecConfig{Frozen: d.G.Freeze()}
 	t := &Table{
 		Title:  fmt.Sprintf("Fig 5 varying #n — %s (avg per query; '+' = hit step budget)", d.Name),
 		Header: []string{"#n", "bvf2", "bsim", "vf2", "optvf2", "gsim", "optgsim"},
@@ -305,7 +308,7 @@ func Fig5VaryQ(opt Options) (*Table, error) {
 			simPlans = append(simPlans, p)
 		}
 		at := newAlgoTimes()
-		if err := runAll(at, d, idx, subPlans, simPlans, subQs, simQs, opt); err != nil {
+		if err := runAll(at, d, idx, cfg, subPlans, simPlans, subQs, simQs, opt); err != nil {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprint(nn),
@@ -340,6 +343,7 @@ func Fig5VaryA(opt Options) (*Table, error) {
 		}
 	}
 	minSchema := d.Schema.Subset(kMin)
+	cfg := &core.ExecConfig{Frozen: d.G.Freeze()}
 	subQs, _ := splitBounded(qs, minSchema, core.Subgraph)
 	simQs, _ := splitBounded(qs, minSchema, core.Simulation)
 
@@ -364,7 +368,7 @@ func Fig5VaryA(opt Options) (*Table, error) {
 				return nil, err
 			}
 			secs := timed(func() {
-				_, _, err = p.EvalSubgraph(d.G, idx, match.SubgraphOptions{MaxMatches: opt.MatchLimit})
+				_, _, err = p.EvalSubgraphWith(d.G, idx, match.SubgraphOptions{MaxMatches: opt.MatchLimit}, cfg)
 			})
 			if err != nil {
 				return nil, err
@@ -376,7 +380,7 @@ func Fig5VaryA(opt Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			secs := timed(func() { _, _, err = p.EvalSim(d.G, idx) })
+			secs := timed(func() { _, _, err = p.EvalSimWith(d.G, idx, cfg) })
 			if err != nil {
 				return nil, err
 			}
@@ -433,12 +437,12 @@ func Fig5Accessed(opt Options) (*Table, error) {
 		}
 		for _, q := range qs {
 			if p, err := core.NewPlan(q, d.Schema, core.Subgraph); err == nil {
-				if _, st, err := p.Exec(d.G, idx); err == nil {
+				if _, st, err := p.Fetch(d.G, idx, nil); err == nil {
 					record("sub", p, st)
 				}
 			}
 			if p, err := core.NewPlan(q, d.Schema, core.Simulation); err == nil {
-				if _, st, err := p.Exec(d.G, idx); err == nil {
+				if _, st, err := p.Fetch(d.G, idx, nil); err == nil {
 					record("sim", p, st)
 				}
 			}

@@ -68,9 +68,8 @@ type Graph struct {
 
 	byLabel map[Label][]NodeID // live nodes per label, ascending ID order
 	// edges indexes E for HasEdge. It is nil on a graph built by
-	// FromSortedEdges, whose rows are sorted runs of one backing array
-	// shared with a Frozen: HasEdge then binary-searches the row, and the
-	// first mutation (thaw) builds the map and detaches the rows.
+	// FromSortedEdges, whose rows are sorted: HasEdge then binary-searches
+	// the row, and the first mutation (thaw) builds the map.
 	edges map[edgeKey]struct{}
 
 	numNodes int // live nodes
@@ -143,29 +142,14 @@ func (g *Graph) AddEdge(from, to NodeID) error {
 	return nil
 }
 
-// thaw readies a graph built by FromSortedEdges for its first mutation:
-// the rows are copied off the backing arrays the Frozen shares (so edits
-// never reach the snapshot) and the edge map is built. On any other graph
-// it is a no-op.
+// thaw readies a graph built by FromSortedEdges for its first mutation by
+// building the edge map. Its rows are capacity-capped runs of one backing
+// array, so an append moves a row off it and a removal stays inside the
+// row. On any other graph it is a no-op.
 func (g *Graph) thaw() {
-	if g.edges != nil {
-		return
+	if g.edges == nil {
+		g.indexEdges()
 	}
-	detach := func(rows [][]NodeID) {
-		total := 0
-		for _, r := range rows {
-			total += len(r)
-		}
-		flat := make([]NodeID, 0, total)
-		for i, r := range rows {
-			lo := len(flat)
-			flat = append(flat, r...)
-			rows[i] = flat[lo:len(flat):len(flat)]
-		}
-	}
-	detach(g.out)
-	detach(g.in)
-	g.indexEdges()
 }
 
 // indexEdges builds the edge map from the out-rows.

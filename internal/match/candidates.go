@@ -11,16 +11,15 @@ func GSimWithCandidates(q *pattern.Pattern, g *graph.Graph, cands [][]graph.Node
 	return gsim(q, adjacency{g: g}, cands)
 }
 
-// VF2WithCandidatesFrozen runs the VF2 search with externally supplied
-// candidate sets (cands[u] restricts pattern node u; nil entries mean
-// unrestricted), with edge reads served by a frozen CSR snapshot of g (see
-// graph.Freeze). It matches inside a materialized GQ with the plan's
-// maximally reduced cmat sets. The snapshot's sorted adjacency changes
-// enumeration order against VF2 on g — same match set, possibly different
-// Matches order — while making the feasibility checks binary searches
-// instead of edge-map probes.
+// VF2WithCandidatesFrozen runs the VF2 search on g with externally
+// supplied candidate sets (cands[u] restricts pattern node u; nil entries
+// mean unrestricted): bVF2 inside a materialized GQ with the plan's
+// maximally reduced cmat sets. The snapshot fz is not read, and may be
+// nil: a GQ's rows are already sorted and its HasEdge binary-searches
+// them, so the enumeration order and the matches are those the snapshot
+// would give.
 func VF2WithCandidatesFrozen(q *pattern.Pattern, g *graph.Graph, fz *graph.Frozen, cands [][]graph.NodeID, opt SubgraphOptions) *SubgraphResult {
-	return vf2On(q, adjacency{g: g, fz: fz}, cands, opt)
+	return vf2(q, g, cands, opt)
 }
 
 // VF2InSpace runs the VF2 search on a candidate space: the universe of u

@@ -52,27 +52,21 @@ func (s *Space) slot(from, to pattern.Node) int {
 	panic(fmt.Sprintf("match: candidate space has no slot for pattern edge (%d, %d)", from, to))
 }
 
-// adjacency routes the matchers' edge reads to a live Graph, to a frozen
-// CSR snapshot of it (sorted adjacency, binary-search HasEdge), or to a
-// candidate space. Over a graph the rows of a node do not depend on the
-// pattern edge being matched; over a space they do, so every read names
-// the edge's slot (see slots). The representation changes neighbor
-// iteration order — and therefore match enumeration order — but never
-// the result set.
+// adjacency routes the matchers' edge reads to a Graph or to a candidate
+// space. Over a graph the rows of a node do not depend on the pattern edge
+// being matched; over a space they do, so every read names the edge's
+// slot (see slots). The representation changes neighbor iteration order —
+// and therefore match enumeration order — but never the result set.
 type adjacency struct {
 	g  *graph.Graph
-	fz *graph.Frozen
 	sp *Space
 }
 
 // out returns the out-neighbours of v that may match the head of the
 // pattern edge in slot e.
 func (a adjacency) out(e int, v graph.NodeID) []graph.NodeID {
-	switch {
-	case a.sp != nil:
+	if a.sp != nil {
 		return a.sp.Run(e, 0, v)
-	case a.fz != nil:
-		return a.fz.Out(v)
 	}
 	return a.g.Out(v)
 }
@@ -80,11 +74,8 @@ func (a adjacency) out(e int, v graph.NodeID) []graph.NodeID {
 // in returns the in-neighbours of v that may match the tail of the
 // pattern edge in slot e.
 func (a adjacency) in(e int, v graph.NodeID) []graph.NodeID {
-	switch {
-	case a.sp != nil:
+	if a.sp != nil {
 		return a.sp.Run(e, 1, v)
-	case a.fz != nil:
-		return a.fz.In(v)
 	}
 	return a.g.In(v)
 }
@@ -94,15 +85,12 @@ func (a adjacency) in(e int, v graph.NodeID) []graph.NodeID {
 // in-run: a run from the fixed endpoint of the edge's check is a subset
 // of one index entry, so it is no longer than the constraint's bound.
 func (a adjacency) hasEdge(e int, from, to graph.NodeID) bool {
-	switch {
-	case a.sp != nil:
+	if a.sp != nil {
 		out, in := a.sp.Run(e, 0, from), a.sp.Run(e, 1, to)
 		if len(in) < len(out) {
 			return slices.Contains(in, from)
 		}
 		return slices.Contains(out, to)
-	case a.fz != nil:
-		return a.fz.HasEdge(from, to)
 	}
 	return a.g.HasEdge(from, to)
 }

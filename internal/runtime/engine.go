@@ -250,7 +250,7 @@ func (e *Engine) SourceStats() store.Stats { return e.src.Stats() }
 // Eval evaluates q on the calling goroutine. At most Config.Workers
 // evaluations run at once; a caller over the limit waits for a slot, and
 // gives up with ctx.Err() if its context dies first, or with ErrClosed
-// once the engine closes. Through core.ExecWith the context can also
+// once the engine closes. Through core.Plan.Fetch the context can also
 // abandon an evaluation in flight. A nil ctx means "never cancelled".
 //
 // The query is bound to the cut current once it holds a slot — a waiting
@@ -276,9 +276,9 @@ func (e *Engine) Eval(ctx context.Context, q Query) Result {
 	e.submitted.Add(1)
 	cut := e.src.AcquireCut()
 	defer cut.Release()
-	// core.ExecWith reads a one-snapshot cut without routing a single
+	// core.Plan.Fetch reads a one-snapshot cut without routing a single
 	// node, so a single store pays no scatter/gather. With no Scratch,
-	// ExecWith borrows one from its pool; a context already dead stops it
+	// Fetch borrows one from its pool; a context already dead stops it
 	// before it touches the graph.
 	cfg := core.ExecConfig{Ctx: ctx, Shards: make([]core.ShardView, len(cut.Snaps)), ShardOf: cut.ShardOf}
 	for i, sn := range cut.Snaps {

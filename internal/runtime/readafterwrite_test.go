@@ -189,10 +189,10 @@ func boundedGraphDiff(got, want *core.BoundedGraph) string {
 		switch {
 		case got.G.LabelOf(v) != want.G.LabelOf(v) || got.G.ValueOf(v) != want.G.ValueOf(v):
 			return fmt.Sprintf("GQ node %d differs in label or value", v)
-		case !slices.Equal(got.G.Out(v), want.G.Out(v)) || !slices.Equal(got.Fz.Out(v), want.Fz.Out(v)):
-			return fmt.Sprintf("GQ node %d out-row %v, rebuild %v", v, got.Fz.Out(v), want.Fz.Out(v))
-		case !slices.Equal(got.Fz.In(v), want.Fz.In(v)):
-			return fmt.Sprintf("GQ node %d in-row %v, rebuild %v", v, got.Fz.In(v), want.Fz.In(v))
+		case !slices.Equal(got.G.Out(v), want.G.Out(v)):
+			return fmt.Sprintf("GQ node %d out-row %v, rebuild %v", v, got.G.Out(v), want.G.Out(v))
+		case !slices.Equal(got.G.In(v), want.G.In(v)):
+			return fmt.Sprintf("GQ node %d in-row %v, rebuild %v", v, got.G.In(v), want.G.In(v))
 		}
 	}
 	return ""

@@ -187,14 +187,14 @@ func BenchmarkReadPath(b *testing.B) {
 	}
 }
 
-// TestReadPathAllocsFlatInGQ guards the GQ build's allocation count: with
-// a warm ExecScratch, Plan.ExecWith allocates the same small number of
-// times for every pool pattern with a non-empty GQ, from the one with the
-// fewest GQ edges (a GQ of nodes only still runs the whole build) to the
-// one with at least ten times as many — O(1) in |E(GQ)|, not one
-// allocation per edge. It holds on one store and on a 2-shard cut, where a
-// probe's parts are consumed in place or merged into scratch, never into
-// a fresh slice.
+// TestReadPathAllocsFlatInGQ guards the fetch's and the GQ build's
+// allocation counts: with a warm ExecScratch, Plan.Fetch and Plan.ExecWith
+// each allocate the same small number of times for every pool pattern with
+// a non-empty GQ, from the one with the fewest GQ edges (a GQ of nodes
+// only still runs the whole build) to the one with at least ten times as
+// many — O(1) in |E(GQ)|, not one allocation per edge. It holds on one
+// store and on a 2-shard cut, where a probe's parts are consumed in place
+// or merged into scratch, never into a fresh slice.
 func TestReadPathAllocsFlatInGQ(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the scale-1 benchmark pool")
@@ -212,42 +212,47 @@ func TestReadPathAllocsFlatInGQ(t *testing.T) {
 	checkAllocsFlat(t, "shards2", pool, rt.Schema(), nil, nil, sharded)
 }
 
-// checkAllocsFlat runs TestReadPathAllocsFlatInGQ's check over pool: each
-// pattern executes against g and idx under a copy of proto with a scratch
-// of its own.
+// checkAllocsFlat runs TestReadPathAllocsFlatInGQ's check over pool, for
+// Fetch and then for ExecWith: each pattern executes against g and idx
+// under a copy of proto with a scratch of its own.
 func checkAllocsFlat(t *testing.T, name string, pool []runtime.Query, schema *access.Schema, g *graph.Graph, idx *access.IndexSet, proto core.ExecConfig) {
 	t.Helper()
 	const maxAllocs = 40
-	var fewest, most, wantAllocs int
-	for i, q := range pool {
-		p, err := core.NewPlan(q.Pattern, schema, q.Sem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := proto
-		cfg.Scratch = core.NewExecScratch()
-		_, st, err := p.ExecWith(g, idx, &cfg) // warms the scratch
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.GQNodes == 0 {
-			continue
-		}
-		allocs := int(testing.AllocsPerRun(10, func() {
-			if _, _, err := p.ExecWith(g, idx, &cfg); err != nil {
+	for _, op := range []struct {
+		name string
+		run  func(*core.Plan, *graph.Graph, *access.IndexSet, *core.ExecConfig) (*core.BoundedGraph, *core.ExecStats, error)
+	}{{"Fetch", (*core.Plan).Fetch}, {"ExecWith", (*core.Plan).ExecWith}} {
+		var fewest, most, wantAllocs int
+		for i, q := range pool {
+			p, err := core.NewPlan(q.Pattern, schema, q.Sem)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}))
-		if wantAllocs == 0 {
-			fewest, most, wantAllocs = st.GQEdges, st.GQEdges, allocs
+			cfg := proto
+			cfg.Scratch = core.NewExecScratch()
+			_, st, err := op.run(p, g, idx, &cfg) // warms the scratch
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.GQNodes == 0 {
+				continue
+			}
+			allocs := int(testing.AllocsPerRun(10, func() {
+				if _, _, err := op.run(p, g, idx, &cfg); err != nil {
+					t.Fatal(err)
+				}
+			}))
+			if wantAllocs == 0 {
+				fewest, most, wantAllocs = st.GQEdges, st.GQEdges, allocs
+			}
+			if allocs != wantAllocs || allocs > maxAllocs {
+				t.Fatalf("%s: %s: pool pattern %d (%d GQ edges): %d allocs, others %d; want equal and at most %d", name, op.name, i, st.GQEdges, allocs, wantAllocs, maxAllocs)
+			}
+			fewest, most = min(fewest, st.GQEdges), max(most, st.GQEdges)
 		}
-		if allocs != wantAllocs || allocs > maxAllocs {
-			t.Fatalf("%s: pool pattern %d (%d GQ edges): %d allocs, others %d; want equal and at most %d", name, i, st.GQEdges, allocs, wantAllocs, maxAllocs)
+		if most < 10*max(fewest, 1) {
+			t.Fatalf("%s: %s: pool GQ edge counts span %d..%d, not 10x", name, op.name, fewest, most)
 		}
-		fewest, most = min(fewest, st.GQEdges), max(most, st.GQEdges)
+		t.Logf("%s: %d allocs per %s for GQ edge counts %d..%d", name, wantAllocs, op.name, fewest, most)
 	}
-	if most < 10*max(fewest, 1) {
-		t.Fatalf("%s: pool GQ edge counts span %d..%d, not 10x", name, fewest, most)
-	}
-	t.Logf("%s: %d allocs per ExecWith for GQ edge counts %d..%d", name, wantAllocs, fewest, most)
 }

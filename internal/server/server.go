@@ -4,7 +4,7 @@
 // guarantee), one process can serve many concurrent clients against a big
 // graph; the server adds the production plumbing the engine itself does
 // not carry — per-request deadlines and cancellation threaded down into
-// core.ExecWith, one LRU query cache keyed by the normalized pattern and
+// core.Plan.Fetch, one LRU query cache keyed by the normalized pattern and
 // query arguments (holding each query's parsed pattern, its bounded plan
 // and, when the result cache is on, its last answer), and graceful
 // shutdown.
@@ -645,7 +645,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The request context already dies with the client connection; layer
-	// the evaluation deadline on top. Cancellation reaches core.ExecWith
+	// the evaluation deadline on top. Cancellation reaches core.Plan.Fetch
 	// through the engine, so abandoned requests stop fetching.
 	ctx := r.Context()
 	timeout := s.cfg.Timeout
